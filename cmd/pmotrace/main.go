@@ -49,11 +49,11 @@ func main() {
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		wl      = fs.String("workload", "avl", "workload to record ("+strings.Join(domainvirt.Workloads(), ", ")+")")
-		pmos    = fs.Int("pmos", 64, "number of PMOs")
-		ops     = fs.Int("ops", 5000, "measured operations")
-		initial = fs.Int("init", 1024, "initial elements")
-		seed    = fs.Int64("seed", 42, "workload seed")
+		wl       = fs.String("workload", "avl", "workload to record ("+strings.Join(domainvirt.Workloads(), ", ")+")")
+		pmos     = fs.Int("pmos", 64, "number of PMOs")
+		ops      = fs.Int("ops", 5000, "measured operations")
+		initial  = fs.Int("init", 1024, "initial elements")
+		seed     = fs.Int64("seed", 42, "workload seed")
 		out      = fs.String("o", "", "output trace file (record)")
 		in       = fs.String("i", "", "input trace file or capture directory (stat, audit, replay)")
 		scheme   = fs.String("scheme", "domainvirt", "protection scheme, or \"all\" for every engine (replay)")

@@ -75,12 +75,12 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	if persistent {
 		contiguous := true
 		for idx, h := range horizons {
-			snap, res, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
+			snap, probe, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
 			if !ok {
 				contiguous = false
 				continue
 			}
-			results[idx] = res
+			results[idx] = probe.Result()
 			have[idx] = true
 			if contiguous {
 				resumeOp, resumeSnap = h, snap
@@ -127,7 +127,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	default:
 		var snap *sim.Snapshot
 		if cache != nil {
-			snap, _ = cache.warmup(name, p, scheme, cfg)
+			snap = cache.warmup(name, p, scheme, cfg).snap
 		}
 		if snap != nil {
 			// Fork from the (possibly shared) warmup checkpoint.

@@ -196,13 +196,13 @@ func TestReferenceModelDenials(t *testing.T) {
 		Seed: -1, Profile: ProfileAdversarial, Cores: 1, Threads: 2,
 		Ops: []Op{
 			{Kind: OpAttach, D: 1},
-			{Kind: OpStore, Th: 1, D: 1, Off: 0x40, Size: 8},   // no grant: deny
-			{Kind: OpSetPerm, Th: 1, D: 1, Perm: core.PermR},   // grant read
-			{Kind: OpLoad, Th: 1, D: 1, Off: 0x40, Size: 8},    // allowed
-			{Kind: OpStore, Th: 1, D: 1, Off: 0x40, Size: 8},   // read-only: deny
-			{Kind: OpLoad, Th: 2, D: 1, Off: 0x40, Size: 8},    // other thread: deny
+			{Kind: OpStore, Th: 1, D: 1, Off: 0x40, Size: 8}, // no grant: deny
+			{Kind: OpSetPerm, Th: 1, D: 1, Perm: core.PermR}, // grant read
+			{Kind: OpLoad, Th: 1, D: 1, Off: 0x40, Size: 8},  // allowed
+			{Kind: OpStore, Th: 1, D: 1, Off: 0x40, Size: 8}, // read-only: deny
+			{Kind: OpLoad, Th: 2, D: 1, Off: 0x40, Size: 8},  // other thread: deny
 			{Kind: OpDetach, D: 1},
-			{Kind: OpLoad, Th: 2, D: 1, Off: 0x40, Size: 8},    // domainless: allowed
+			{Kind: OpLoad, Th: 2, D: 1, Off: 0x40, Size: 8}, // domainless: allowed
 		},
 	}
 	rr := Replay(p, sim.DefaultConfig())

@@ -31,7 +31,7 @@ type RunResult struct {
 	Accesses    int
 	Denials     int // accesses the reference model denied
 	SetPerms    int
-	MaxLive     int  // peak concurrently-attached domains
+	MaxLive     int // peak concurrently-attached domains
 	Detaches    int
 	DenialFree  bool // no access was denied by the reference model
 	FloorCheck  bool // invariant 4a (lowerbound floor) applied
@@ -178,8 +178,8 @@ func SchemesFor(p Program) []sim.Scheme {
 func Replay(p Program, cfg sim.Config) *RunResult {
 	ops, skipped, maxLive := normalize(p)
 	rr := &RunResult{
-		Program: p,
-		Skipped: skipped,
+		Program:  p,
+		Skipped:  skipped,
 		MaxLive:  maxLive,
 		Cycles:   make(map[sim.Scheme]uint64),
 		Overhead: make(map[sim.Scheme]uint64),

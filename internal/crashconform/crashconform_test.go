@@ -265,9 +265,9 @@ func TestReadReproRejectsBadInput(t *testing.T) {
 		"crash repro v1\n",
 		"crash repro v1\npools 2 bug nope mode reorder seeds 3\nvictim single 0 commit 0:0=1\n",
 		"crash repro v1\npools 2 bug none mode bogus seeds 3\nvictim single 0 commit 0:0=1\n",
-		"crash repro v1\npools 2 bug none mode reorder seeds 3\n",                                 // no victim
-		"crash repro v1\npools 2 bug none mode reorder seeds 3\nvictim single 0 commit 9:0=1\n",  // pool range
-		"crash repro v1\npools 2 bug none mode reorder seeds 3\nvictim multi 0 commit 0:0=1\n",   // coord written
+		"crash repro v1\npools 2 bug none mode reorder seeds 3\n",                                     // no victim
+		"crash repro v1\npools 2 bug none mode reorder seeds 3\nvictim single 0 commit 9:0=1\n",       // pool range
+		"crash repro v1\npools 2 bug none mode reorder seeds 3\nvictim multi 0 commit 0:0=1\n",        // coord written
 		"crash repro v1\npools 2 bug none mode reorder seeds 3\nvictim single 0 commit 0:0=1,1:0=2\n", // spans pools
 	}
 	for i, c := range cases {

@@ -123,16 +123,16 @@ type NodeLoad struct {
 // layer's mergeable log2 histogram (nanoseconds), so percentiles come
 // from the same machinery as the simulator's cycle histograms.
 type LoadReport struct {
-	Clients  int
-	Elapsed  time.Duration
-	Ops      uint64
-	Reads    uint64
-	Writes   uint64
-	Txs      uint64
-	Batches  uint64 // BATCH frames sent (Batch > 1)
-	Retries  uint64 // RETRY backpressure responses absorbed
-	Evicted  uint64 // sessions re-opened after idle eviction
-	Churns   uint64 // voluntary session close/re-open cycles
+	Clients   int
+	Elapsed   time.Duration
+	Ops       uint64
+	Reads     uint64
+	Writes    uint64
+	Txs       uint64
+	Batches   uint64 // BATCH frames sent (Batch > 1)
+	Retries   uint64 // RETRY backpressure responses absorbed
+	Evicted   uint64 // sessions re-opened after idle eviction
+	Churns    uint64 // voluntary session close/re-open cycles
 	Conflicts uint64 // exclusive-writer ATTACH conflicts re-picked
 	// Unavailable counts typed UNAVAILABLE/DRAINING answers absorbed
 	// under TolerateUnavailable (a cluster backend down mid-run).

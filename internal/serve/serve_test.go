@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
-	"fmt"
 	"sync"
 	"testing"
 	"time"

@@ -131,9 +131,9 @@ type session struct {
 type shard struct {
 	mu         sync.Mutex
 	space      *pmo.Space
-	machine    *sim.Machine       // nil in library mode
-	capture    *trace.Capture     // nil unless CaptureOpen is set
-	verdicts   *trace.VerdictLog  // nil unless CaptureVerdicts (guarded by mu)
+	machine    *sim.Machine      // nil in library mode
+	capture    *trace.Capture    // nil unless CaptureOpen is set
+	verdicts   *trace.VerdictLog // nil unless CaptureVerdicts (guarded by mu)
 	sessions   map[uint64]*session
 	nextThread core.ThreadID
 }

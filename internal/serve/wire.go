@@ -55,12 +55,12 @@ type Op uint8
 
 // Request opcodes.
 const (
-	OpHello    Op = 1 // declare client identity: str name
-	OpOpen     Op = 2 // open-or-create the session pool: str name, u64 size
-	OpAttach   Op = 3 // map the session pool: u8 writable
-	OpRead     Op = 4 // u32 off, u32 len -> data
-	OpWrite    Op = 5 // u32 off, u32 len, bytes
-	OpTxCommit Op = 6 // u16 count, count * (u32 off, u32 len, bytes), durably
+	OpHello    Op = 1  // declare client identity: str name
+	OpOpen     Op = 2  // open-or-create the session pool: str name, u64 size
+	OpAttach   Op = 3  // map the session pool: u8 writable
+	OpRead     Op = 4  // u32 off, u32 len -> data
+	OpWrite    Op = 5  // u32 off, u32 len, bytes
+	OpTxCommit Op = 6  // u16 count, count * (u32 off, u32 len, bytes), durably
 	OpDetach   Op = 7  // unmap the session pool
 	OpStats    Op = 8  // -> Prometheus text snapshot
 	OpTrace    Op = 9  // -> JSONL dump of the retained request spans

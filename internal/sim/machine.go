@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"domainvirt/internal/cache"
@@ -191,9 +193,11 @@ type domainInfo struct {
 }
 
 // domSpan is one attached region in demandMap's sorted index. Attach
-// regions never overlap (the engine's domain table rejects overlap before
-// the span is recorded), so binary search by end address finds the unique
-// candidate span for any address.
+// regions never overlap and a domain is never attached twice (the
+// engine's domain table rejects both before the span is recorded), so
+// bases are unique, the index sorted by base is also sorted by end, and
+// binary search by end address finds the unique candidate span for any
+// address.
 type domSpan struct {
 	base, end memlayout.VA
 	writable  bool
@@ -672,9 +676,9 @@ func (m *Machine) finishAccess(c *coreState, th core.ThreadID, va memlayout.VA, 
 // demandMap allocates and maps a frame for the first touch of a page.
 // Pages inside an attached PMO region are NVM-backed with the attach
 // permission; everything else is writable DRAM. The attach regions are
-// held in a sorted span index (rebuilt on the rare Attach/Detach), so
-// the lookup is a binary search instead of a linear scan over every
-// live domain.
+// held in a span index sorted by base (Attach and Detach keep it sorted
+// with one binary search and one slice shift each), so the lookup is a
+// binary search instead of a linear scan over every live domain.
 func (m *Machine) demandMap(va memlayout.VA) pagetable.PTE {
 	kind := mem.DRAM
 	writable := true
@@ -689,17 +693,10 @@ func (m *Machine) demandMap(va memlayout.VA) pagetable.PTE {
 	return pte
 }
 
-// rebuildSpans regenerates the sorted span index from the domain map.
-func (m *Machine) rebuildSpans() {
-	m.spans = m.spans[:0]
-	for _, di := range m.domains {
-		m.spans = append(m.spans, domSpan{
-			base:     di.region.Base,
-			end:      di.region.End(),
-			writable: di.perm.CanWrite(),
-		})
-	}
-	sort.Slice(m.spans, func(i, j int) bool { return m.spans[i].base < m.spans[j].base })
+// spanIndex returns the position of the span based at base in the sorted
+// span index, or where one would be inserted, and whether it is present.
+func (m *Machine) spanIndex(base memlayout.VA) (int, bool) {
+	return slices.BinarySearchFunc(m.spans, base, func(s domSpan, b memlayout.VA) int { return cmp.Compare(s.base, b) })
 }
 
 // Fetch implements trace.Sink: one instruction fetch. Domain permissions
@@ -778,7 +775,8 @@ func (m *Machine) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) er
 	}
 	m.FlushTLBRangeAll(r)
 	m.domains[d] = domainInfo{region: r, perm: perm}
-	m.rebuildSpans()
+	i, _ := m.spanIndex(r.Base)
+	m.spans = slices.Insert(m.spans, i, domSpan{base: r.Base, end: r.End(), writable: perm.CanWrite()})
 	m.bumpGen()
 	return nil
 }
@@ -786,8 +784,12 @@ func (m *Machine) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) er
 // Detach implements trace.Sink.
 func (m *Machine) Detach(d core.DomainID) {
 	m.engine.Detach(d)
-	delete(m.domains, d)
-	m.rebuildSpans()
+	if di, ok := m.domains[d]; ok {
+		delete(m.domains, d)
+		if i, found := m.spanIndex(di.region.Base); found {
+			m.spans = slices.Delete(m.spans, i, i+1)
+		}
+	}
 	m.bumpGen()
 }
 

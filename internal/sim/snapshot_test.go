@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -150,6 +151,52 @@ func TestSnapshotImmutableAcrossRestores(t *testing.T) {
 			snapDriveSuffix(second, nd)
 			if got := second.Result(); got != want {
 				t.Errorf("second restore diverged:\n got: %+v\nwant: %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSnapshotIndependentOfSource: a warmup cache's builder keeps
+// running its cell on the machine it snapshotted, so the snapshot must
+// share no state with its source. The source is driven on through
+// accesses, permission churn whose key remaps evict keys and shoot down
+// TLB entries, detaches, fresh attaches and denied accesses; the
+// snapshot's encoding must not move.
+func TestSnapshotIndependentOfSource(t *testing.T) {
+	for _, s := range sim.AllSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			nd := snapDomains(s)
+			m := sim.NewMachine(snapConfig(), s)
+			snapDrivePrefix(t, m, nd)
+			m.ResetStats()
+			snap := m.Snapshot()
+			before, err := sim.EncodeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			snapDriveSuffix(m, nd)
+			for d := core.DomainID(1); d <= core.DomainID(nd); d += 2 {
+				m.Detach(d)
+			}
+			for d := core.DomainID(nd + 1); d <= core.DomainID(nd+3); d++ {
+				if err := m.Attach(d, benchRegion(d), core.PermRW); err != nil {
+					t.Fatal(err)
+				}
+				m.SetPerm(1, d, core.PermRW, 0)
+				m.Access(1, benchRegion(d).Base, 8, true)
+			}
+			snapDriveSuffix(m, nd) // detached domains now fault
+			if r := m.Result(); (s == sim.SchemeLibmpk || s == sim.SchemeMPKVirt) && r.Counters.Evictions == 0 {
+				t.Fatal("the drive evicted no protection key")
+			}
+
+			after, err := sim.EncodeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("driving the source machine changed its earlier snapshot's encoding")
 			}
 		})
 	}

@@ -17,11 +17,11 @@ func FuzzRecover(f *testing.F) {
 	// A well-formed committed single-pool log: state 2, count 1, one
 	// entry targeting a data slot.
 	valid := make([]byte, 40)
-	binary.LittleEndian.PutUint64(valid[0:], 2)        // state committed
-	binary.LittleEndian.PutUint64(valid[8:], 1)        // count
-	binary.LittleEndian.PutUint64(valid[16:], 72<<10)  // entry target
-	binary.LittleEndian.PutUint64(valid[24:], 8)       // entry length
-	binary.LittleEndian.PutUint64(valid[32:], 0xabcd)  // payload
+	binary.LittleEndian.PutUint64(valid[0:], 2)       // state committed
+	binary.LittleEndian.PutUint64(valid[8:], 1)       // count
+	binary.LittleEndian.PutUint64(valid[16:], 72<<10) // entry target
+	binary.LittleEndian.PutUint64(valid[24:], 8)      // entry length
+	binary.LittleEndian.PutUint64(valid[32:], 0xabcd) // payload
 	f.Add(valid, uint16(40))
 
 	// The same log torn mid-record.

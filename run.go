@@ -41,10 +41,26 @@ func runMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recor
 		return Result{}, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 	}
 	m.ResetStats()
+	return readyCell{m: m, w: w, env: env}.measure(name, scheme, cfg, rec)
+}
+
+// readyCell is one cell ready for its measured phase: a machine holding
+// the post-ResetStats warmup state, and the workload whose Go-side state
+// Setup built through env, which drives m.
+type readyCell struct {
+	m   *sim.Machine
+	w   workload.Workload
+	env *workload.Env
+}
+
+// measure runs the cell's measured operations with rec (if any) stamped
+// and attached, and fails the cell on any fault.
+func (c readyCell) measure(name string, scheme Scheme, cfg Config, rec *obs.Recorder) (Result, error) {
+	m := c.m
 	var start time.Time
 	if rec != nil {
 		// The manifest records the resolved (default-filled) parameters.
-		rp := env.P
+		rp := c.env.P
 		rec.SetManifest(obs.Manifest{
 			Scheme:      string(scheme),
 			Workload:    name,
@@ -60,7 +76,7 @@ func runMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recor
 		m.SetRecorder(rec)
 		start = time.Now()
 	}
-	runErr := w.Run(env)
+	runErr := c.w.Run(c.env)
 	if rec != nil {
 		rec.StampWall(time.Since(start))
 		m.FlushObs()

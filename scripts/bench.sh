@@ -21,8 +21,10 @@ count="${BENCH_COUNT:-3}"
 btime="${BENCH_TIME:-300ms}"
 tol="${BENCH_TOLERANCE:-0.10}"
 
+# -cpu 1: the allocation budgets are recorded and checked on one P; more
+# Ps let the runtime scheduler add allocations to the parallel benchmarks.
 run_bench() {
-    go test -run '^$' -bench . -benchmem -benchtime "$btime" -count "$count" \
+    go test -run '^$' -bench . -benchmem -benchtime "$btime" -count "$count" -cpu 1 \
         ./internal/sim/ ./internal/tlb/ ./internal/serve/ ./internal/cluster/
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"time"
 
 	"domainvirt/internal/core"
 	"domainvirt/internal/memlayout"
@@ -213,34 +212,36 @@ func (c *SnapshotCache) PutEncoded(key string, data []byte) error {
 }
 
 // loadCheckpoint tries to serve a stored checkpoint (warmup or mid-run)
-// under key. A decodable file is validated by a restore into a throwaway
+// under key. A decodable file is validated by a restore into a probe
 // machine of the cell's geometry, so every later Restore from the
 // returned snapshot is panic-free; any rejection deletes the file and
-// reports a miss (the caller rebuilds and overwrites). The probe's
-// Result is returned alongside — for a mid-run checkpoint it is exactly
-// the Result an independent run at that horizon would produce.
-func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Snapshot, Result, bool) {
+// reports a miss (the caller rebuilds and overwrites). The probe is
+// returned alongside: it holds exactly the checkpointed state, so a
+// caller may run on it instead of restoring a machine of its own, and
+// for a mid-run checkpoint its Result is exactly the Result an
+// independent run at that horizon would produce.
+func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Snapshot, *sim.Machine, bool) {
 	if c.store == nil {
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	data, err := c.store.Get(key)
 	if err != nil {
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	snap, err := sim.DecodeSnapshot(data)
 	if err != nil {
 		c.count(func(s *SnapshotCacheStats) { s.DiskRejects++ })
 		c.store.Delete(key)
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	probe := sim.NewMachine(cfg, scheme)
 	if err := probe.RestoreSafe(snap); err != nil {
 		c.count(func(s *SnapshotCacheStats) { s.DiskRejects++ })
 		c.store.Delete(key)
-		return nil, Result{}, false
+		return nil, nil, false
 	}
 	c.count(func(s *SnapshotCacheStats) { s.DiskHits++ })
-	return snap, probe.Result(), true
+	return snap, probe, true
 }
 
 // sinkSwitch delegates the trace.Sink interface to a swappable inner
@@ -272,10 +273,21 @@ const (
 	warmupMem                       // already resident in memory
 )
 
+// warmed is how one call was served its warmup checkpoint. A nil snap
+// means the cell's setup is not forkable — the workload errored or its
+// setup raised faults — and the caller must fall back to the uncached
+// path. cell is what the call that materialized the checkpoint holds
+// of it: the builder's machine together with the workload its simulated
+// Setup populated, or the probe machine a disk load restored (cell.w is
+// nil: the Go-side state is still to be rebuilt). A memory hit gets a
+// zero cell and forks.
+type warmed struct {
+	snap *sim.Snapshot
+	src  warmupSource
+	cell readyCell
+}
+
 // warmup serves (building if needed) the warmup checkpoint for one cell.
-// A nil snapshot means the cell's setup is not forkable — the workload
-// errored or its setup raised faults — and the caller must fall back to
-// the uncached path.
 //
 // Safety: forked cells replay Setup against a Discard sink, which
 // permits everything. That is behaviorally identical to the real setup
@@ -283,18 +295,19 @@ const (
 // returns zeros and could steer subsequent setup work), so the builder
 // demands zero domain and page faults during the simulated setup before
 // caching.
-func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config) (*sim.Snapshot, warmupSource) {
+func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config) warmed {
 	key := snapKey{name: name, p: warmupParams(p), scheme: scheme, sc: structuralOf(cfg)}
 	e := c.entry(key)
-	src := warmupMem
+	wu := warmed{src: warmupMem}
 	e.once.Do(func() {
-		if snap, _, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
-			src = warmupDisk
+		if snap, probe, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
+			wu.src = warmupDisk
+			wu.cell.m = probe
 			e.snap = snap
 			e.ok = true
 			return
 		}
-		src = warmupBuilt
+		wu.src = warmupBuilt
 		c.count(func(s *SnapshotCacheStats) { s.Warmups++ })
 		bw, err := workload.New(name)
 		if err != nil {
@@ -311,6 +324,7 @@ func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config)
 		m.ResetStats()
 		e.snap = m.Snapshot()
 		e.ok = true
+		wu.cell = readyCell{m: m, w: bw, env: env}
 		if c.store != nil {
 			if data, encErr := sim.EncodeSnapshot(e.snap); encErr == nil {
 				// Best-effort write-through: a full disk degrades to the
@@ -320,17 +334,24 @@ func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config)
 		}
 	})
 	if !e.ok {
-		return nil, src
+		return wu
 	}
-	if src == warmupMem {
+	if wu.src == warmupMem {
 		c.count(func(s *SnapshotCacheStats) { s.MemHits++ })
 	}
-	return e.snap, src
+	wu.snap = e.snap
+	return wu
 }
 
 // runCachedMachine is runMachine with warmup snapshot reuse. The second
 // return value reports whether the cell was served from a cached
 // checkpoint (false for the cell that built it, and for fallbacks).
+//
+// The call that materializes a checkpoint runs its cell on that
+// machine: the builder on the machine its simulated Setup warmed, with
+// the same workload, exactly as runMachine does; a disk load on the
+// probe loadCheckpoint validated. Only cells that find the checkpoint
+// already in memory restore a machine of their own.
 func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (Result, bool, error) {
 	if cache == nil {
 		res, err := runMachine(name, p, scheme, cfg, rec)
@@ -340,55 +361,29 @@ func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs
 	if err != nil {
 		return Result{}, false, err
 	}
-	snap, src := cache.warmup(name, p, scheme, cfg)
-	if snap == nil {
+	wu := cache.warmup(name, p, scheme, cfg)
+	if wu.snap == nil {
 		res, err := runMachine(name, p, scheme, cfg, rec)
 		return res, false, err
 	}
-
-	// Fork: rebuild Go-side workload state without simulation, then run
-	// the measured phase on a machine restored from the checkpoint.
-	sw := &sinkSwitch{inner: trace.Discard{}}
-	env := workload.NewEnv(sw, p)
-	if err := w.Setup(env); err != nil {
-		return Result{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+	cell := wu.cell
+	if cell.w == nil {
+		// Fork: rebuild Go-side workload state without simulation, then
+		// run the measured phase on the machine holding the checkpoint.
+		sw := &sinkSwitch{inner: trace.Discard{}}
+		env := workload.NewEnv(sw, p)
+		if err := w.Setup(env); err != nil {
+			return Result{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+		}
+		if cell.m == nil {
+			cell.m = sim.NewMachine(cfg, scheme)
+			cell.m.Restore(wu.snap)
+		}
+		sw.inner = cell.m
+		cell.w, cell.env = w, env
 	}
-	m := sim.NewMachine(cfg, scheme)
-	m.Restore(snap)
-	sw.inner = m
-
-	var start time.Time
-	if rec != nil {
-		rp := env.P
-		rec.SetManifest(obs.Manifest{
-			Scheme:      string(scheme),
-			Workload:    name,
-			Seed:        rp.Seed,
-			Ops:         rp.Ops,
-			Threads:     rp.Threads,
-			Cores:       m.NumCores(),
-			PMOs:        rp.NumPMOs,
-			Epoch:       rec.EpochLen(),
-			ConfigHash:  obs.ConfigHash(cfg),
-			ToolVersion: obs.ToolVersion,
-		})
-		m.SetRecorder(rec)
-		start = time.Now()
-	}
-	runErr := w.Run(env)
-	if rec != nil {
-		rec.StampWall(time.Since(start))
-		m.FlushObs()
-	}
-	if runErr != nil {
-		return Result{}, false, fmt.Errorf("domainvirt: %s run under %s: %w", name, scheme, runErr)
-	}
-	res := m.Result()
-	if res.Counters.DomainFaults > 0 || res.Counters.PageFaults > 0 {
-		return res, false, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
-			name, scheme, res.Counters.DomainFaults, res.Counters.PageFaults, m.Faults())
-	}
-	return res, src != warmupBuilt, nil
+	res, err := cell.measure(name, scheme, cfg, rec)
+	return res, wu.src != warmupBuilt, err
 }
 
 // RunCached is Run with warmup snapshot reuse through cache (nil cache

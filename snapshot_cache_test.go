@@ -132,9 +132,13 @@ func TestSnapshotCacheCostIndependence(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheObservedExports: the observed cached path must export
-// byte-identical artifacts to the uncached observed path — manifests,
-// epoch series, and histograms alike.
+// TestSnapshotCacheObservedExports: every observed cached path must
+// export byte-identical artifacts to the uncached observed path —
+// manifests, epoch series, and histograms alike. The cells cover each
+// way a cache serves a warmup: the call that builds the checkpoint (and
+// runs on the machine it built), a memory hit that forks, and a disk hit
+// in a fresh cache over the primed directory (which runs on the machine
+// that validated the file).
 func TestSnapshotCacheObservedExports(t *testing.T) {
 	cfg := domainvirt.DefaultConfig()
 	o := domainvirt.ObsOptions{Epoch: 2000}
@@ -154,35 +158,56 @@ func TestSnapshotCacheObservedExports(t *testing.T) {
 		}
 		return out
 	}
+	run := func(cache *domainvirt.SnapshotCache, wantHit bool) *domainvirt.Recorder {
+		t.Helper()
+		_, rec, hit, err := domainvirt.RunObservedCached("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != wantHit {
+			t.Fatalf("observed cached run reported hit=%v, want %v", hit, wantHit)
+		}
+		return rec
+	}
 
 	_, plainRec, err := domainvirt.RunObserved("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := domainvirt.NewSnapshotCache()
-	if _, _, _, err := domainvirt.RunObservedCached("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o, cache); err != nil {
-		t.Fatal(err)
-	}
-	_, cachedRec, hit, err := domainvirt.RunObservedCached("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o, cache)
+	dir := t.TempDir()
+	cache, err := domainvirt.NewSnapshotCacheDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("observed cached run missed the snapshot")
+	buildRec := run(cache, false)
+	memRec := run(cache, true)
+	disk, err := domainvirt.NewSnapshotCacheDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	diskRec := run(disk, true)
+	if st := disk.Stats(); st.DiskHits != 1 || st.Warmups != 0 {
+		t.Fatalf("fresh cache over the primed store: stats %+v, want 1 disk hit", st)
+	}
+
 	a := export(plainRec, t.TempDir())
-	b := export(cachedRec, t.TempDir())
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("export file sets differ: %d vs %d", len(a), len(b))
-	}
-	for name, data := range a {
-		other, ok := b[name]
-		if !ok {
-			t.Errorf("cached export missing %s", name)
-			continue
+	for _, c := range []struct {
+		path string
+		rec  *domainvirt.Recorder
+	}{{"cache-building", buildRec}, {"memory-hit", memRec}, {"disk-hit", diskRec}} {
+		b := export(c.rec, t.TempDir())
+		if len(a) == 0 || len(a) != len(b) {
+			t.Fatalf("%s: export file sets differ: %d vs %d", c.path, len(a), len(b))
 		}
-		if !bytes.Equal(data, other) {
-			t.Errorf("%s differs between uncached and cached observed runs", name)
+		for name, data := range a {
+			other, ok := b[name]
+			if !ok {
+				t.Errorf("%s export missing %s", c.path, name)
+				continue
+			}
+			if !bytes.Equal(data, other) {
+				t.Errorf("%s: %s differs between uncached and cached observed runs", c.path, name)
+			}
 		}
 	}
 }

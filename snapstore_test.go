@@ -47,46 +47,69 @@ func primeStore(t *testing.T, dir string, p domainvirt.Params, s domainvirt.Sche
 // TestSnapshotStoreCrossProcess is the persistence referee: a second
 // cache over the same directory (a fresh process in the ci.sh grid-twice
 // gate) must serve the warmup from disk — zero setup re-simulations —
-// and fork to a bit-identical result.
+// and run the cell on the machine that validated the file to a result
+// bit-identical to the uncached Run, as must the cell that built the
+// checkpoint. Every scheme is covered, raw MPK within its key limit.
 func TestSnapshotStoreCrossProcess(t *testing.T) {
-	dir := t.TempDir()
-	p := cacheParams()
 	cfg := domainvirt.DefaultConfig()
-	s := domainvirt.SchemeDomainVirt
-	want := primeStore(t, dir, p, s, cfg)
+	mpkParams := cacheParams()
+	mpkParams.NumPMOs = 8
+	for _, c := range []struct {
+		s domainvirt.Scheme
+		p domainvirt.Params
+	}{
+		{domainvirt.SchemeBaseline, cacheParams()},
+		{domainvirt.SchemeLowerbound, cacheParams()},
+		{domainvirt.SchemeMPK, mpkParams},
+		{domainvirt.SchemeLibmpk, cacheParams()},
+		{domainvirt.SchemeMPKVirt, cacheParams()},
+		{domainvirt.SchemeDomainVirt, cacheParams()},
+	} {
+		t.Run(string(c.s), func(t *testing.T) {
+			dir := t.TempDir()
+			p, s := c.p, c.s
+			want, err := domainvirt.Run("avl", p, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built := primeStore(t, dir, p, s, cfg); built != want {
+				t.Errorf("cache-building Result differs from Run:\n got: %+v\nwant: %+v", built, want)
+			}
 
-	second, err := domainvirt.NewSnapshotCacheDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, hit, err := domainvirt.RunCached("avl", p, s, cfg, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Error("second process missed the stored warmup")
-	}
-	if got != want {
-		t.Errorf("disk-forked Result differs:\n got: %+v\nwant: %+v", got, want)
-	}
-	if st := second.Stats(); st.Warmups != 0 || st.DiskHits != 1 || st.DiskRejects != 0 {
-		t.Errorf("second-process stats = %+v, want 0 warmups, 1 disk hit, 0 rejects", st)
-	}
+			second, err := domainvirt.NewSnapshotCacheDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, hit, err := domainvirt.RunCached("avl", p, s, cfg, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hit {
+				t.Error("second process missed the stored warmup")
+			}
+			if got != want {
+				t.Errorf("disk-served Result differs from Run:\n got: %+v\nwant: %+v", got, want)
+			}
+			if st := second.Stats(); st.Warmups != 0 || st.DiskHits != 1 || st.DiskRejects != 0 {
+				t.Errorf("second-process stats = %+v, want 0 warmups, 1 disk hit, 0 rejects", st)
+			}
 
-	// Cells differing only in the ops horizon share the stored warmup.
-	longer := p
-	longer.Ops = p.Ops * 2
-	third, err := domainvirt.NewSnapshotCacheDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := domainvirt.RunCached("avl", longer, s, cfg, third); err != nil {
-		t.Fatal(err)
-	} else if !hit {
-		t.Error("ops-horizon variant missed the stored warmup")
-	}
-	if st := third.Stats(); st.Warmups != 0 {
-		t.Errorf("ops variant re-simulated the warmup: %+v", st)
+			// Cells differing only in the ops horizon share the stored warmup.
+			longer := p
+			longer.Ops = p.Ops * 2
+			third, err := domainvirt.NewSnapshotCacheDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, hit, err := domainvirt.RunCached("avl", longer, s, cfg, third); err != nil {
+				t.Fatal(err)
+			} else if !hit {
+				t.Error("ops-horizon variant missed the stored warmup")
+			}
+			if st := third.Stats(); st.Warmups != 0 {
+				t.Errorf("ops variant re-simulated the warmup: %+v", st)
+			}
+		})
 	}
 }
 
