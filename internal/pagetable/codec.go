@@ -16,36 +16,26 @@ func (t *Table) AppendTo(b []byte) []byte {
 	countAt := len(b)
 	b = bincodec.U32(b, 0) // entry count, patched below
 	n := uint32(0)
-	var walk func(nd *node, lvl int, base memlayout.VA)
-	walk = func(nd *node, lvl int, base memlayout.VA) {
-		span := memlayout.LevelSize(lvl)
-		for i := 0; i < memlayout.RadixFanout; i++ {
-			slotBase := base + memlayout.VA(uint64(i)*span)
-			if lvl == 0 {
-				pte := nd.ptes[i]
-				if pte == (PTE{}) {
-					continue
-				}
-				b = bincodec.U64(b, uint64(slotBase))
-				b = bincodec.U64(b, pte.PFN)
-				var flags uint8
-				if pte.Present {
-					flags |= 1
-				}
-				if pte.Writable {
-					flags |= 2
-				}
-				b = bincodec.U8(b, flags)
-				b = bincodec.U8(b, pte.PKey)
-				n++
+	t.forEachLeaf(0, maxPage, func(base uint64, l *leaf) {
+		for i := range l.ptes {
+			pte := &l.ptes[i]
+			if *pte == (PTE{}) {
 				continue
 			}
-			if child := nd.children[i]; child != nil {
-				walk(child, lvl-1, slotBase)
+			b = bincodec.U64(b, (base+uint64(i))<<memlayout.PageShift)
+			b = bincodec.U64(b, pte.PFN)
+			var flags uint8
+			if pte.Present {
+				flags |= 1
 			}
+			if pte.Writable {
+				flags |= 2
+			}
+			b = bincodec.U8(b, flags)
+			b = bincodec.U8(b, pte.PKey)
+			n++
 		}
-	}
-	walk(t.root, memlayout.NumLevels-1, 0)
+	})
 	b[countAt] = byte(n)
 	b[countAt+1] = byte(n >> 8)
 	b[countAt+2] = byte(n >> 16)
@@ -68,16 +58,18 @@ func DecodeTable(r *bincodec.Reader) (*Table, error) {
 		if r.Err() != nil {
 			break
 		}
-		leaf := t.leafFor(va, true)
 		pte := PTE{
 			PFN:      pfn,
 			Present:  flags&1 != 0,
 			Writable: flags&2 != 0,
 			PKey:     pkey,
 		}
-		leaf.ptes[memlayout.Index(va, 0)] = pte
-		if pte.Present {
+		was := t.leafFor(va, true).set(memlayout.Index(va, 0), pte)
+		switch {
+		case pte.Present && !was:
 			t.populated++
+		case was && !pte.Present:
+			t.populated--
 		}
 	}
 	if err := r.Err(); err != nil {

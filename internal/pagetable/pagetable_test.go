@@ -2,9 +2,11 @@ package pagetable
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"domainvirt/internal/bincodec"
 	"domainvirt/internal/memlayout"
 )
 
@@ -31,34 +33,113 @@ func TestMapWalkRoundTrip(t *testing.T) {
 }
 
 func TestMapAgainstReference(t *testing.T) {
-	// Random map/unmap/lookup sequence must agree with a Go map.
+	// A random sequence of Map, Unmap, Lookup, SetKey, Clone and an
+	// AppendTo/DecodeTable round trip must agree with a Go map, and
+	// ForEachPopulated must visit exactly the map's pages in a region, in
+	// ascending VA order, on the table, its clone and its decoded copy.
 	rng := rand.New(rand.NewSource(7))
 	pt := New()
-	ref := make(map[uint64]uint64) // vpn -> pfn
+	type refPTE struct {
+		pfn uint64
+		key uint8
+	}
+	ref := make(map[uint64]refPTE) // vpn -> PTE
+	randVPN := func() uint64 {
+		return uint64(rng.Intn(2048))*7919 + uint64(rng.Intn(64))<<30
+	}
+	randRegion := func() memlayout.Region {
+		if rng.Intn(8) == 0 {
+			return memlayout.Region{Size: 1 << 48} // the whole radix
+		}
+		a, b := memlayout.VA(randVPN()<<memlayout.PageShift), memlayout.VA(randVPN()<<memlayout.PageShift)
+		if a > b {
+			a, b = b, a
+		}
+		// Unaligned ends: a page is in the region when its base is.
+		a += memlayout.VA(rng.Intn(2 * memlayout.PageSize))
+		return memlayout.Region{Base: a, Size: uint64(b-a) + uint64(rng.Intn(2*memlayout.PageSize))}
+	}
+	check := func(step int, name string, tab *Table, r memlayout.Region) {
+		var want []uint64
+		for vpn := range ref {
+			if r.Contains(memlayout.VA(vpn << memlayout.PageShift)) {
+				want = append(want, vpn)
+			}
+		}
+		slices.Sort(want)
+		var got []uint64
+		tab.ForEachPopulated(r, func(va memlayout.VA, pte *PTE) {
+			vpn := memlayout.PageNum(va)
+			if w := ref[vpn]; !pte.Present || pte.PFN != w.pfn || pte.PKey != w.key {
+				t.Fatalf("step %d: %s visits %#x as %+v, want %+v", step, name, va, *pte, w)
+			}
+			got = append(got, vpn)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: %s ForEachPopulated(%v) visits %d pages %x, want %d %x",
+				step, name, r, len(got), got, len(want), want)
+		}
+		if n := tab.PopulatedPages(r); n != len(want) {
+			t.Fatalf("step %d: %s PopulatedPages(%v) = %d, want %d", step, name, r, n, len(want))
+		}
+		if tab.Populated() != uint64(len(ref)) {
+			t.Fatalf("step %d: %s Populated = %d, want %d", step, name, tab.Populated(), len(ref))
+		}
+	}
 	for i := 0; i < 5000; i++ {
-		vpn := uint64(rng.Intn(2048))*7919 + uint64(rng.Intn(64))<<30
+		vpn := randVPN()
 		va := memlayout.VA(vpn << memlayout.PageShift)
-		switch rng.Intn(3) {
-		case 0:
+		switch op := rng.Intn(100); {
+		case op < 40:
 			pfn := uint64(rng.Int63n(1 << 30))
 			pt.Map(va, memlayout.PA(pfn<<memlayout.PageShift), true)
-			ref[vpn] = pfn
-		case 1:
+			ref[vpn] = refPTE{pfn: pfn}
+		case op < 60:
 			got := pt.Unmap(va)
 			_, want := ref[vpn]
 			if got != want {
 				t.Fatalf("Unmap(%#x) = %v, want %v", va, got, want)
 			}
 			delete(ref, vpn)
-		default:
+		case op < 80:
 			pte, ok := pt.Lookup(va)
-			pfn, want := ref[vpn]
-			if ok != want || (ok && pte.PFN != pfn) {
-				t.Fatalf("Lookup(%#x) = (%v,%v), want (%v,%v)", va, pte.PFN, ok, pfn, want)
+			w, want := ref[vpn]
+			if ok != want || (ok && (pte.PFN != w.pfn || pte.PKey != w.key)) {
+				t.Fatalf("Lookup(%#x) = (%+v,%v), want (%+v,%v)", va, pte, ok, w, want)
 			}
+		case op < 98:
+			r := randRegion()
+			key := uint8(rng.Intn(16))
+			want := 0
+			for v, w := range ref {
+				if r.Contains(memlayout.VA(v << memlayout.PageShift)) {
+					w.key = key
+					ref[v] = w
+					want++
+				}
+			}
+			if n := pt.SetKey(r, key); n != want {
+				t.Fatalf("SetKey(%v) = %d, want %d", r, n, want)
+			}
+		case op < 99:
+			// Carry on with a clone: a mapping made in it must not
+			// show in its source.
+			clone := pt.Clone()
+			clone.Map(va, 0, false)
+			check(i, "source of a clone", pt, randRegion())
+			ref[vpn] = refPTE{}
+			check(i, "clone", clone, randRegion())
+			pt = clone
+		default:
+			dec, err := DecodeTable(bincodec.NewReader(pt.AppendTo(nil)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(i, "decoded copy", dec, randRegion())
+			pt = dec
 		}
-		if pt.Populated() != uint64(len(ref)) {
-			t.Fatalf("Populated = %d, want %d", pt.Populated(), len(ref))
+		if i%25 == 0 {
+			check(i, "table", pt, randRegion())
 		}
 	}
 }

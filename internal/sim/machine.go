@@ -837,13 +837,11 @@ func (m *Machine) FlushTLBRangeAll(r memlayout.Region) int {
 		owe := func(vpn uint64) { c.debt.Owe(vpn) }
 		n1 := c.l1tlb.FlushRange(r, owe)
 		n2 := c.l2tlb.FlushRange(r, owe)
-		// L1 entries are a subset of L2's working set; count distinct
-		// pages as the L2 flush count plus any L1-only stragglers.
-		n := n2
-		if n1 > n2 {
-			n = n1
-		}
-		total += n
+		// The flushed-page statistic takes the larger of the two
+		// levels' counts. The levels are not inclusive, so it can miss
+		// distinct pages: one flushed from L1 alone, after L2 evicted
+		// it, goes uncounted when L2 flushed as many.
+		total += max(n1, n2)
 	}
 	m.ctr.TLBFlushed += uint64(total)
 	return total

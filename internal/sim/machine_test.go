@@ -162,6 +162,41 @@ func TestInvalidationDebtAttribution(t *testing.T) {
 	}
 }
 
+// TestAttachEmptyRegionFlushesNothing pins the shootdown of an empty
+// region: attaching a zero-size region at VA 0 (the domain table accepts
+// it) must flush no TLB entry, so the pages warmed before it still hit.
+func TestAttachEmptyRegionFlushesNothing(t *testing.T) {
+	for _, s := range AllSchemes {
+		t.Run(string(s), func(t *testing.T) {
+			m := newTestMachine(s)
+			r := memlayout.Region{Base: 0x40000000, Size: 8 << 20}
+			if err := m.Attach(1, r, core.PermRW); err != nil {
+				t.Fatal(err)
+			}
+			m.SetPerm(1, 1, core.PermRW, 0)
+			touch := func() {
+				for p := 0; p < 64; p++ {
+					m.Access(1, r.Base+memlayout.VA(p*memlayout.PageSize), 8, false)
+				}
+			}
+			touch()
+			m.ResetStats()
+			if err := m.Attach(2, memlayout.Region{}, core.PermRW); err != nil {
+				t.Fatalf("empty attach: %v", err)
+			}
+			if n := m.Result().Counters.TLBFlushed; n != 0 {
+				t.Errorf("empty attach flushed %d TLB entries, want 0", n)
+			}
+			touch()
+			c := m.Result().Counters
+			if c.TLBMisses != 0 || c.TLBL1Hits+c.TLBL2Hits != 64 {
+				t.Errorf("after empty attach: %d TLB misses, %d hits; want 0 and 64",
+					c.TLBMisses, c.TLBL1Hits+c.TLBL2Hits)
+			}
+		})
+	}
+}
+
 func TestContextSwitchAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMachine(cfg, SchemeBaseline)

@@ -4,6 +4,10 @@
 // domain virtualization). It provides the range invalidation (Range_Flush)
 // primitive used by key remapping and tracks "invalidation debt" so the
 // simulator can attribute refill misses caused by shootdowns.
+//
+// A range flush costs what it touches: each TLB counts its valid entries
+// per 2 MiB block of pages, so a shootdown of a range holding none of
+// them returns without scanning the entries.
 package tlb
 
 import (
@@ -27,6 +31,19 @@ type Config struct {
 	Ways    int
 }
 
+// blockShift is log2 of the pages in one counted block: 512 pages, the
+// 2 MiB a last-level page-table node maps.
+const blockShift = memlayout.RadixBits
+
+// blockSlots is the number of block counters in a TLB. Block b counts in
+// slot b mod blockSlots, so no two blocks of a contiguous 2 GiB share a
+// counter; blocks further apart may, and then a flush of one scans when
+// the other holds entries.
+const blockSlots = 1024
+
+// blockSlot returns the counter slot of the block holding vpn.
+func blockSlot(vpn uint64) uint64 { return (vpn >> blockShift) & (blockSlots - 1) }
+
 // TLB is a set-associative TLB with per-set LRU replacement. Entries and
 // recency stamps live in flat set-major arrays (set s, way w at index
 // s*ways+w): the per-access lookup scan touches one contiguous run with a
@@ -42,6 +59,13 @@ type TLB struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+
+	// blocks[blockSlot(vpn)] counts the valid entries whose VPN falls in
+	// a block hashed to that slot. It is derived state: every change of
+	// an entry's validity updates it, Restore rebuilds it, and snapshots
+	// never carry it. A fixed array keeps it inside the TLB's one
+	// allocation.
+	blocks [blockSlots]uint32
 }
 
 // New constructs a TLB. Entries must be a multiple of Ways and the set
@@ -135,6 +159,8 @@ func (t *TLB) insert(e Entry, base int) (pos int, victim Entry, evicted bool) {
 		}
 	}
 	if way < 0 {
+		// A new VPN: it fills an invalid way or evicts the LRU one.
+		t.blocks[blockSlot(e.VPN)]++
 		for w := range set {
 			if !set[w].Valid {
 				way = w
@@ -153,6 +179,7 @@ func (t *TLB) insert(e Entry, base int) (pos int, victim Entry, evicted bool) {
 		}
 		victim, evicted = set[way], true
 		t.evictions++
+		t.blocks[blockSlot(victim.VPN)]--
 	}
 	set[way] = e
 	t.clock++
@@ -167,6 +194,7 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 	for w := range set {
 		if set[w].Valid && set[w].VPN == vpn {
 			set[w].Valid = false
+			t.blocks[blockSlot(vpn)]--
 			return true
 		}
 	}
@@ -174,11 +202,19 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 }
 
 // FlushRange invalidates every entry whose page lies inside r, calling fn
-// (if non-nil) with each flushed VPN, and returns the number flushed. This
-// is the Range_Flush primitive of the hardware MPK-virtualization design.
+// (if non-nil) with each flushed VPN in entry order, and returns the
+// number flushed. This is the Range_Flush primitive of the hardware
+// MPK-virtualization design. An empty region flushes nothing, and so
+// does a range whose blocks all count zero entries, without a scan.
 func (t *TLB) FlushRange(r memlayout.Region, fn func(vpn uint64)) int {
+	if r.Size == 0 {
+		return 0
+	}
 	lo := memlayout.PageNum(r.Base)
 	hi := memlayout.PageNum(r.End() - 1)
+	if !t.mayHold(lo, hi) {
+		return 0
+	}
 	n := 0
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -187,10 +223,27 @@ func (t *TLB) FlushRange(r memlayout.Region, fn func(vpn uint64)) int {
 				fn(e.VPN)
 			}
 			e.Valid = false
+			t.blocks[blockSlot(e.VPN)]--
 			n++
 		}
 	}
 	return n
+}
+
+// mayHold reports whether a valid entry can lie in pages [lo, hi]: false
+// only when every block of the range counts zero. A range of at least
+// blockSlots blocks covers every counter, so it is always scanned.
+func (t *TLB) mayHold(lo, hi uint64) bool {
+	first, last := lo>>blockShift, hi>>blockShift
+	if last-first >= blockSlots-1 {
+		return true
+	}
+	for b := first; b <= last; b++ {
+		if t.blocks[b&(blockSlots-1)] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // FlushAll invalidates every entry and returns the number flushed.
@@ -202,6 +255,7 @@ func (t *TLB) FlushAll() int {
 			n++
 		}
 	}
+	clear(t.blocks[:])
 	return n
 }
 
@@ -246,7 +300,8 @@ func (t *TLB) SnapshotInto(s *State) {
 }
 
 // Restore reinstates a snapshot taken from a TLB of identical geometry,
-// reusing the receiver's storage. It panics on a geometry mismatch.
+// reusing the receiver's storage, and rebuilds the block counts from the
+// restored entries. It panics on a geometry mismatch.
 func (t *TLB) Restore(s State) {
 	if len(s.entries) != len(t.entries) {
 		panic("tlb: Restore geometry mismatch")
@@ -257,6 +312,12 @@ func (t *TLB) Restore(s State) {
 	t.hits = s.hits
 	t.misses = s.misses
 	t.evictions = s.evictions
+	clear(t.blocks[:])
+	for i := range t.entries {
+		if t.entries[i].Valid {
+			t.blocks[blockSlot(t.entries[i].VPN)]++
+		}
+	}
 }
 
 // Debt tracks pages flushed by TLB invalidations so that the later refill

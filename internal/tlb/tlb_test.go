@@ -1,7 +1,9 @@
 package tlb
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -176,5 +178,103 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestBlockCountsAgainstScan is the referee for the block counts: random
+// Insert, Lookup, Invalidate, FlushRange, FlushAll and Restore calls on a
+// small and a full-size geometry. After every step the counts must equal
+// a recount of the valid entries, and every FlushRange must flush, report
+// and call back exactly what a plain scan of the entries finds.
+func TestBlockCountsAgainstScan(t *testing.T) {
+	// Blocks 0 and blockSlots, 1 and blockSlots+1, and 2 and
+	// 2*blockSlots+2 share a counter.
+	blocks := []uint64{0, 1, 2, 5, blockSlots, blockSlots + 1, 2*blockSlots + 2, 1 << 24}
+	for _, cfg := range []Config{{Entries: 64, Ways: 4}, {Entries: 1536, Ways: 6}} {
+		t.Run(fmt.Sprint(cfg.Entries), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(cfg.Entries)))
+			randVPN := func() uint64 {
+				off := uint64(rng.Intn(1 << blockShift))
+				if rng.Intn(2) == 0 {
+					off %= 32 // revisit a few pages: Insert's same-VPN update
+				}
+				return blocks[rng.Intn(len(blocks))]<<blockShift | off
+			}
+			randRegion := func() memlayout.Region {
+				const blockBytes = memlayout.PageSize << blockShift
+				switch rng.Intn(8) {
+				case 0:
+					return memlayout.Region{} // empty, at VA 0
+				case 1: // spans every counter and more
+					b := blocks[rng.Intn(len(blocks))]
+					n := uint64(blockSlots + rng.Intn(blockSlots))
+					return memlayout.Region{Base: memlayout.VA(b * blockBytes), Size: n * blockBytes}
+				case 2: // an 8 MiB attach region, four whole blocks
+					b := blocks[rng.Intn(len(blocks))] &^ 3
+					return memlayout.Region{Base: memlayout.VA(b * blockBytes), Size: 4 * blockBytes}
+				default: // any bytes around a counted page
+					base := memlayout.VA(randVPN()<<memlayout.PageShift) + memlayout.VA(rng.Intn(2*memlayout.PageSize)) - memlayout.PageSize
+					return memlayout.Region{Base: base, Size: uint64(rng.Intn(4 * blockBytes))}
+				}
+			}
+			tl := New(cfg)
+			var saved []State
+			for step := 0; step < 20000; step++ {
+				switch op := rng.Intn(100); {
+				case op < 45:
+					tl.Insert(Entry{VPN: randVPN(), PFN: uint64(step)})
+				case op < 60:
+					tl.Lookup(randVPN())
+				case op < 70:
+					tl.Invalidate(randVPN())
+				case op < 93:
+					r := randRegion()
+					before := slices.Clone(tl.entries)
+					var want []uint64
+					if r.Size > 0 {
+						lo, hi := memlayout.PageNum(r.Base), memlayout.PageNum(r.End()-1)
+						for i, e := range before {
+							if e.Valid && e.VPN >= lo && e.VPN <= hi {
+								want = append(want, e.VPN)
+								before[i].Valid = false
+							}
+						}
+					}
+					var got []uint64
+					n := tl.FlushRange(r, func(vpn uint64) { got = append(got, vpn) })
+					if n != len(want) || !slices.Equal(got, want) {
+						t.Fatalf("step %d: FlushRange(%v) = %d calling back %v; a scan finds %v", step, r, n, got, want)
+					}
+					if !slices.Equal(tl.entries, before) {
+						t.Fatalf("step %d: FlushRange(%v) left entries a scan would not", step, r)
+					}
+				case op < 95:
+					valid := 0
+					for _, e := range tl.entries {
+						if e.Valid {
+							valid++
+						}
+					}
+					if n := tl.FlushAll(); n != valid {
+						t.Fatalf("step %d: FlushAll = %d, want %d", step, n, valid)
+					}
+				case op < 97:
+					saved = append(saved, tl.Snapshot())
+				default:
+					if len(saved) > 0 {
+						tl.Restore(saved[rng.Intn(len(saved))])
+					}
+				}
+				var recount [blockSlots]uint32
+				for _, e := range tl.entries {
+					if e.Valid {
+						recount[blockSlot(e.VPN)]++
+					}
+				}
+				if recount != tl.blocks {
+					t.Fatalf("step %d: block counts drifted from a recount of the valid entries", step)
+				}
+			}
+		})
 	}
 }

@@ -49,6 +49,9 @@ go test -race ./internal/serve/... ./internal/pmo/... ./internal/cluster/...
 go test -race ./internal/persist/ ./internal/txn/ ./internal/crashconform/
 go run ./cmd/pmosim -crashconform -crashconform-workloads 40
 go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
+# A short live fuzz of the snapshot decoder, the reader of the files a
+# persistent store shares between processes.
+go test -fuzz FuzzDecodeSnapshot -fuzztime 5s -run '^$' ./internal/sim/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
@@ -58,7 +61,7 @@ go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
 # scheduler adds a fraction of an allocation per op to the parallel
 # benchmarks, which the integer allocs/op can round up past a budget.
 go test -run '^$' -bench . -benchmem -benchtime 200x -cpu 1 \
-    ./internal/sim/ ./internal/tlb/ ./internal/serve/ ./internal/cluster/ \
+    ./internal/sim/ ./internal/tlb/ ./internal/pagetable/ ./internal/serve/ ./internal/cluster/ \
     | go run ./cmd/benchjson -check BENCH_sim.json -ns-tolerance -1
 
 # Smoke: an observed run must write a parseable, nonempty epoch series.
