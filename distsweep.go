@@ -9,14 +9,16 @@ import (
 	"domainvirt/internal/sweep"
 )
 
-// Distributed sweep: the coordinator (runGrid with ExpOptions.SweepAddrs
-// set) encodes each grid cell into a self-contained spec, fans the specs
-// out to pmoworker daemons through internal/sweep, and decodes the
-// returned payloads into exactly the values the local path would have
-// produced — Result, warmup-hit flag, and the cell's observability
-// artifacts as rendered bytes. Because the merge happens in fixed grid
-// order from per-cell artifacts, every table, CSV, manifest, series, and
-// histogram file is byte-identical to a sequential local run.
+// Grid cells as sweep jobs: runGrid encodes every cell into a
+// self-contained spec and hands the specs to internal/sweep, which ships
+// them to pmoworker daemons when ExpOptions.SweepAddrs names some and
+// otherwise runs them in this process through RunSweepCell. Either way
+// each cell comes back as the same JSON payload (cellOut) — Result,
+// warmup-hit flag, and the cell's observability artifacts as rendered
+// bytes — so local and distributed grids differ only in transport.
+// Because the merge happens in fixed grid order from per-cell artifacts,
+// every table, CSV, manifest, series, and histogram file is
+// byte-identical whichever process ran which cell.
 
 // sweepCellSpec is the coordinator->worker description of one cell. All
 // fields are exported value types, so the JSON round-trip is exact.
@@ -33,10 +35,10 @@ type sweepCellSpec struct {
 	SnapKey string `json:"snap_key"`
 }
 
-// sweepCellResult is the worker->coordinator payload for one finished
-// cell. Manifest and Series carry the exact bytes the worker's recorder
-// rendered; histograms merge commutatively on the coordinator.
-type sweepCellResult struct {
+// cellOut is the payload of one finished cell, local or remote. Manifest
+// and Series carry the exact bytes the cell's recorder rendered (nil
+// for an unobserved cell); histograms merge commutatively in the export.
+type cellOut struct {
 	Result   Result        `json:"result"`
 	Hit      bool          `json:"hit"`
 	Manifest []byte        `json:"manifest,omitempty"`
@@ -47,7 +49,7 @@ type sweepCellResult struct {
 
 // encodeSweepCell renders one grid cell as a wire job.
 func encodeSweepCell(c expCell, opt ExpOptions) (sweep.Job, error) {
-	spec := sweepCellSpec{
+	b, err := json.Marshal(sweepCellSpec{
 		Name:     c.name,
 		Params:   c.p,
 		Scheme:   c.scheme,
@@ -55,42 +57,39 @@ func encodeSweepCell(c expCell, opt ExpOptions) (sweep.Job, error) {
 		Observed: opt.Obs.Dir != "",
 		Epoch:    opt.Obs.Epoch,
 		SnapKey:  SnapshotKeyFor(c.name, c.p, c.scheme, opt.Cfg),
-	}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return sweep.Job{}, err
-	}
-	return sweep.Job{Spec: b, SnapKeys: []string{spec.SnapKey}}, nil
+	})
+	return sweep.Job{Spec: b}, err
 }
 
-// RunSweepCell executes one encoded sweep cell in this process — the
-// worker half of the distributed grid, also used by the coordinator's
-// local fallback for cells lost to a dead worker. When the local cache
-// is persistent and the cell's warmup snapshot is absent, fetch (if
-// non-nil) pulls it from the coordinator into the local store first, so
-// a fresh worker never re-simulates a warmup the coordinator already
-// holds.
+// RunSweepCell executes one encoded sweep cell in this process and
+// returns its cellOut payload — the worker half of a distributed grid,
+// and the local half of every grid: runGrid runs each cell no worker
+// delivered through it. When the local cache is persistent and the
+// cell's warmup snapshot is absent, fetch (if non-nil) pulls it from the
+// coordinator into the local store first, so a fresh worker never
+// re-simulates a warmup the coordinator already holds.
 func RunSweepCell(spec []byte, cache *SnapshotCache, fetch sweep.Fetch) ([]byte, error) {
 	var cs sweepCellSpec
 	if err := json.Unmarshal(spec, &cs); err != nil {
 		return nil, fmt.Errorf("domainvirt: bad sweep cell spec: %w", err)
 	}
-	if cache != nil && cache.Persistent() && fetch != nil &&
-		cs.SnapKey != "" && !cache.HasStored(cs.SnapKey) {
+	if fetch != nil && cache.persistent() && cs.SnapKey != "" && !cache.HasStored(cs.SnapKey) {
 		if data, ok := fetch(cs.SnapKey); ok {
 			// Best-effort install; a corrupt transfer is caught by the
 			// load-time decode+probe validation and rebuilt.
-			_ = cache.PutEncoded(cs.SnapKey, data)
+			_ = cache.putEncoded(cs.SnapKey, data)
 		}
 	}
-	var out sweepCellResult
+	var rec *obs.Recorder
 	if cs.Observed {
-		res, rec, hit, err := RunObservedCached(cs.Name, cs.Params, cs.Scheme, cs.Cfg,
-			ObsOptions{Epoch: cs.Epoch}, cache)
-		if err != nil {
-			return nil, err
-		}
-		out.Result, out.Hit = res, hit
+		rec = obs.NewRecorder(ObsOptions{Epoch: cs.Epoch})
+	}
+	res, hit, err := runCell(cs.Name, cs.Params, cs.Scheme, cs.Cfg, rec, cache)
+	if err != nil {
+		return nil, err
+	}
+	out := cellOut{Result: res, Hit: hit}
+	if rec != nil {
 		var man bytes.Buffer
 		if err := rec.Manifest().WriteJSON(&man); err != nil {
 			return nil, err
@@ -103,85 +102,7 @@ func RunSweepCell(spec []byte, cache *SnapshotCache, fetch sweep.Fetch) ([]byte,
 			}
 			out.Series = series.Bytes()
 		}
-		out.Access = *rec.AccessHist()
-		out.SetPerm = *rec.SetPermHist()
-	} else {
-		res, hit, err := RunCached(cs.Name, cs.Params, cs.Scheme, cs.Cfg, cache)
-		if err != nil {
-			return nil, err
-		}
-		out.Result, out.Hit = res, hit
+		out.Access, out.SetPerm = *rec.AccessHist(), *rec.SetPermHist()
 	}
 	return json.Marshal(out)
-}
-
-// runGridRemote fans uniq out to the worker pool and reassembles the
-// same results/artifacts runGrid's local path produces. A pool with no
-// live workers (every dial failed) runs everything through the local
-// fallback — the degenerate case is the sequential path.
-func runGridRemote(opt ExpOptions, uniq []expCell) ([]Result, []cellObs, error) {
-	logf := func(format string, args ...any) {
-		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, format+"\n", args...)
-		}
-	}
-	conns := opt.SweepConns
-	if conns <= 0 {
-		conns = 1
-	}
-	pool := sweep.NewPool(opt.SweepAddrs, conns, logf)
-	defer pool.Close()
-	logf("sweep: %d worker connection(s) across %d address(es)", pool.Workers(), len(opt.SweepAddrs))
-
-	jobs := make([]sweep.Job, len(uniq))
-	for i, c := range uniq {
-		job, err := encodeSweepCell(c, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		jobs[i] = job
-	}
-	local := func(i int) ([]byte, error) {
-		return RunSweepCell(jobs[i].Spec, opt.Snapshots, nil)
-	}
-	lookup := func(key string) ([]byte, bool) {
-		if opt.Snapshots == nil {
-			return nil, false
-		}
-		data, err := opt.Snapshots.GetEncoded(key)
-		return data, err == nil
-	}
-	prog := obs.NewProgress(opt.Progress, len(uniq))
-	payloads, err := pool.Run(jobs, local, lookup)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]Result, len(uniq))
-	artifacts := make([]cellObs, len(uniq))
-	for i, payload := range payloads {
-		var r sweepCellResult
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, nil, fmt.Errorf("domainvirt: bad sweep cell payload for %s: %w", uniq[i].label(), err)
-		}
-		results[i] = r.Result
-		if r.Manifest != nil {
-			artifacts[i] = cellObs{
-				ok:       true,
-				manifest: r.Manifest,
-				series:   r.Series,
-				access:   r.Access,
-				setperm:  r.SetPerm,
-			}
-		}
-		label := uniq[i].label()
-		if opt.Snapshots != nil || len(opt.SweepAddrs) > 0 {
-			if r.Hit {
-				label += " (snapshot)"
-			} else {
-				label += " (warmup)"
-			}
-		}
-		prog.Done(label)
-	}
-	return results, artifacts, nil
 }

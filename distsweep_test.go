@@ -1,12 +1,17 @@
 package domainvirt_test
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"domainvirt"
 	"domainvirt/internal/sweep"
@@ -230,5 +235,59 @@ func TestDistributedSweepSnapshotPull(t *testing.T) {
 	}
 	if len(matches) != len(schemes) {
 		t.Errorf("worker store holds %d snapshots, want %d pulled files", len(matches), len(schemes))
+	}
+}
+
+// syncBuffer is a progress writer the test can read while the grid
+// writes to it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestDistributedSweepLiveProgress: a distributed grid prints each
+// cell's progress line as that cell completes, not after the sweep. The
+// one worker connection holds its second cell until the coordinator's
+// progress shows the first cell's line, and fails the cell if that line
+// never comes.
+func TestDistributedSweepLiveProgress(t *testing.T) {
+	var progress syncBuffer
+	var cells atomic.Int32
+	addr, _ := startSweepWorker(t, "", func(run sweep.Runner) sweep.Runner {
+		return func(spec []byte, fetch sweep.Fetch) ([]byte, error) {
+			if cells.Add(1) == 2 {
+				deadline := time.Now().Add(5 * time.Second)
+				for !strings.Contains(progress.String(), "[1/") {
+					if time.Now().After(deadline) {
+						return nil, errors.New("no progress line for the first cell after 5s")
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			return run(spec, fetch)
+		}
+	})
+	opt := domainvirt.DefaultExpOptions()
+	opt.SweepAddrs = []string{addr}
+	opt.Progress = &progress
+	p := domainvirt.Params{NumPMOs: 16, Ops: 200, InitialElems: 64, Seed: 42}
+	if _, err := domainvirt.RunSchemesOpt("avl", p, opt,
+		domainvirt.SchemeBaseline, domainvirt.SchemeLowerbound); err != nil {
+		t.Fatalf("%v\nprogress:\n%s", err, progress.String())
+	}
+	if !strings.Contains(progress.String(), "[2/2] ") {
+		t.Errorf("missing the second cell's progress line:\n%s", progress.String())
 	}
 }

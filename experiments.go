@@ -31,9 +31,10 @@ type ExpOptions struct {
 	Seed int64
 
 	// Workers bounds the number of experiment cells simulated
-	// concurrently. 0 selects GOMAXPROCS; 1 forces sequential
-	// execution. Results are identical either way — only wall-clock
-	// time changes.
+	// concurrently in this process: every cell of a local grid, or the
+	// cells of a distributed grid that no worker delivered. 0 selects
+	// GOMAXPROCS; 1 forces sequential execution. Results are identical
+	// either way — only wall-clock time changes.
 	Workers int
 
 	// Progress, when non-nil, receives one "[done/total] label" line
@@ -53,10 +54,10 @@ type ExpOptions struct {
 
 	// SweepAddrs lists pmoworker daemon addresses. When non-empty,
 	// grid cells are fanned out to these workers instead of local
-	// goroutines; cells lost to a dead worker re-run locally, so every
-	// table, CSV, and observability export stays byte-identical to a
-	// sequential run no matter how many workers survive. See
-	// cmd/pmoworker and internal/sweep.
+	// goroutines; cells lost to a dead worker re-run locally on Workers
+	// goroutines, so every table, CSV, and observability export stays
+	// byte-identical to a sequential run no matter how many workers
+	// survive. See cmd/pmoworker and internal/sweep.
 	SweepAddrs []string
 	// SweepConns is the number of protocol connections (concurrent
 	// cells) per worker address; <= 0 means 1.

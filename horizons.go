@@ -8,7 +8,6 @@ import (
 	"domainvirt/internal/obs"
 	"domainvirt/internal/report"
 	"domainvirt/internal/sim"
-	"domainvirt/internal/trace"
 	"domainvirt/internal/workload"
 )
 
@@ -69,13 +68,13 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	// Phase 1: serve stored mid-run checkpoints. The resume point is the
 	// deepest stored horizon with no gap before it — resuming past a
 	// missing horizon would skip its capture.
-	persistent := cache != nil && cache.Persistent()
+	persistent := cache.persistent()
 	resumeOp := 0
-	var resumeSnap *sim.Snapshot
+	var resumeM *sim.Machine
 	if persistent {
 		contiguous := true
 		for idx, h := range horizons {
-			snap, probe, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
+			_, probe, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
 			if !ok {
 				contiguous = false
 				continue
@@ -83,7 +82,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 			results[idx] = probe.Result()
 			have[idx] = true
 			if contiguous {
-				resumeOp, resumeSnap = h, snap
+				resumeOp, resumeM = h, probe
 			}
 		}
 	}
@@ -97,72 +96,44 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		return results, nil // every horizon served from stored checkpoints
 	}
 
-	// Phase 2: one pass to the largest missing horizon.
-	w, err := workload.New(name)
-	if err != nil {
-		return nil, err
-	}
+	// Phase 2: one pass to the largest missing horizon, either resumed
+	// from the deepest stored checkpoint or prepared like any cell.
 	runP := p
 	runP.Ops = target
-	persistOK := persistent
 	var (
-		m   *sim.Machine
-		sw  *sinkSwitch
-		env *workload.Env
+		c  readyCell
+		sw *sinkSwitch
 	)
-	switch {
-	case resumeSnap != nil:
-		// Resume: machine state comes from the stored checkpoint; the
-		// Go-side workload state is rebuilt by replaying setup and the
-		// first resumeOp measured ops against Discard (no simulation).
-		m = sim.NewMachine(cfg, scheme)
-		if err := m.RestoreSafe(resumeSnap); err != nil {
-			return nil, fmt.Errorf("domainvirt: %s resume under %s: %w", name, scheme, err)
+	persistOK := persistent
+	if resumeM != nil {
+		// Resume on the probe holding the checkpoint; the Go-side
+		// workload state is rebuilt by replaying setup and the first
+		// resumeOp measured ops against Discard (no simulation).
+		w, err := workload.New(name)
+		if err != nil {
+			return nil, err
 		}
-		sw = &sinkSwitch{inner: trace.Discard{}}
-		env = workload.NewEnv(sw, runP)
-		if err := w.Setup(env); err != nil {
-			return nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+		if c, sw, err = fork(w, name, runP, scheme, resumeM); err != nil {
+			return nil, err
 		}
-	default:
-		var snap *sim.Snapshot
-		if cache != nil {
-			snap = cache.warmup(name, p, scheme, cfg).snap
+	} else {
+		// A setup that is not forkable must not persist checkpoints: a
+		// later process would rebuild its Go state against Discard,
+		// which diverges from a faulting setup.
+		var src warmupSource
+		var err error
+		if c, src, err = prepare(name, runP, scheme, cfg, cache); err != nil {
+			return nil, err
 		}
-		if snap != nil {
-			// Fork from the (possibly shared) warmup checkpoint.
-			m = sim.NewMachine(cfg, scheme)
-			m.Restore(snap)
-			sw = &sinkSwitch{inner: trace.Discard{}}
-			env = workload.NewEnv(sw, runP)
-			if err := w.Setup(env); err != nil {
-				return nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
-			}
-			sw.inner = m
-		} else {
-			// Live path: no cache, or a setup that is not forkable.
-			// The single measured pass still serves every horizon, but a
-			// faulting setup must not persist checkpoints — a later
-			// process would rebuild its Go state against Discard, which
-			// diverges from a faulting setup.
-			m = sim.NewMachine(cfg, scheme)
-			env = workload.NewEnv(m, runP)
-			if err := w.Setup(env); err != nil {
-				return nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
-			}
-			if r := m.Result(); r.Counters.DomainFaults > 0 || r.Counters.PageFaults > 0 {
-				persistOK = false
-			}
-			m.ResetStats()
-		}
+		persistOK = persistent && src != warmupNone
 	}
 
-	env.AtOpEnd = func(i int) {
+	c.env.AtOpEnd = func(i int) {
 		op := i + 1
-		if sw != nil && op == resumeOp {
+		if op == resumeOp {
 			// Crossing the resume boundary: the Discard-replayed prefix
 			// ends here and the restored machine takes over.
-			sw.inner = m
+			sw.inner = c.m
 			return
 		}
 		if op <= resumeOp {
@@ -172,22 +143,18 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		if !isHorizon || have[idx] {
 			return
 		}
-		r := m.Result()
+		r := c.m.Result()
 		results[idx] = r
 		have[idx] = true
 		if persistOK && r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0 {
-			if data, err := sim.EncodeSnapshot(m.Snapshot()); err == nil {
+			if data, err := sim.EncodeSnapshot(c.m.Snapshot()); err == nil {
 				// Best-effort, like the warmup write-through.
-				_ = cache.PutEncoded(HorizonKeyFor(name, p, scheme, cfg, op), data)
+				_ = cache.putEncoded(HorizonKeyFor(name, p, scheme, cfg, op), data)
 			}
 		}
 	}
-	if err := w.Run(env); err != nil {
-		return nil, fmt.Errorf("domainvirt: %s run under %s: %w", name, scheme, err)
-	}
-	if r := m.Result(); r.Counters.DomainFaults > 0 || r.Counters.PageFaults > 0 {
-		return nil, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
-			name, scheme, r.Counters.DomainFaults, r.Counters.PageFaults, m.Faults())
+	if _, err := c.measure(name, scheme, cfg, nil); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -3,9 +3,9 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"domainvirt/internal/obs"
+	"domainvirt/internal/par"
 	"domainvirt/internal/stats"
 	"domainvirt/internal/trace"
 )
@@ -129,13 +129,6 @@ func (p *ReplayPlan) ReplayObserved(workers int, opts obs.Options) (stats.Result
 }
 
 func (p *ReplayPlan) replay(workers int, obsOpts *obs.Options) (stats.Result, *obs.Recorder, []FaultRecord, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(p.parts) {
-		workers = len(p.parts)
-	}
-
 	n := len(p.parts)
 	recs := make([]*obs.Recorder, n)
 	errs := make([]error, n)
@@ -184,28 +177,7 @@ func (p *ReplayPlan) replay(workers int, obsOpts *obs.Options) (stats.Result, *o
 		}
 	}
 
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			runPart(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runPart(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	par.Do(n, workers, runPart)
 
 	for _, err := range errs {
 		if err != nil {

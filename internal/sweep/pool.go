@@ -3,23 +3,22 @@ package sweep
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
+	"sync/atomic"
+
+	"domainvirt/internal/par"
 )
 
-// Job is one grid cell to distribute: an opaque spec plus the
-// content-addressed snapshot keys the worker may want to pull before
-// simulating (advisory — the spec itself is authoritative).
+// Job is one grid cell to distribute: an opaque spec that names
+// everything the cell needs, including the snapshots a worker may pull.
 type Job struct {
-	SnapKeys []string
-	Spec     []byte
+	Spec []byte
 }
 
 // client is one coordinator->worker connection.
 type client struct {
 	addr string
 	conn net.Conn
-	buf  []byte
 }
 
 // runCell ships one job and blocks until RESULT/ERROR, answering
@@ -27,51 +26,35 @@ type client struct {
 // the worker (or link) is gone; a *CellError means the cell itself
 // failed deterministically.
 func (c *client) runCell(id int, job Job, lookup Fetch) ([]byte, error) {
-	if err := writeFrame(c.conn, runFrame(uint32(id), job.SnapKeys, job.Spec)); err != nil {
+	if err := writeFrame(c.conn, runFrame(uint32(id), job.Spec)); err != nil {
 		return nil, err
 	}
 	for {
-		p, err := readFrame(c.conn, c.buf)
+		p, err := readFrame(c.conn)
 		if err != nil {
 			return nil, err
 		}
-		t, r, err := frameType(p)
+		rp, err := decodeReply(p)
 		if err != nil {
 			return nil, err
 		}
-		switch t {
+		switch rp.t {
 		case tNeedSnap:
-			key := r.Str()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
 			var data []byte
 			found := false
 			if lookup != nil {
-				data, found = lookup(key)
+				data, found = lookup(rp.key)
 			}
-			if err := writeFrame(c.conn, snapFrame(key, found, data)); err != nil {
+			if err := writeFrame(c.conn, snapFrame(rp.key, found, data)); err != nil {
 				return nil, err
 			}
 		case tResult:
-			gotID := r.U32()
-			payload := append([]byte(nil), r.Bytes()...)
-			if err := r.Err(); err != nil {
-				return nil, err
+			if int(rp.id) != id {
+				return nil, fmt.Errorf("sweep: result for cell %d while waiting on %d", rp.id, id)
 			}
-			if int(gotID) != id {
-				return nil, fmt.Errorf("sweep: result for cell %d while waiting on %d", gotID, id)
-			}
-			return payload, nil
+			return rp.payload, nil
 		case tError:
-			r.U32()
-			msg := r.Str()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return nil, &CellError{Msg: msg}
-		default:
-			return nil, fmt.Errorf("sweep: unexpected frame %q", t)
+			return nil, &CellError{Msg: rp.msg}
 		}
 	}
 }
@@ -124,91 +107,74 @@ func (p *Pool) Close() {
 	p.clients = nil
 }
 
-// Run executes every job and returns one payload per job, in job order.
-// Jobs are pulled by worker connections from a shared cursor; any job a
-// worker cannot deliver (connection lost mid-cell, worker died, no
-// workers at all) is re-executed locally via local. Deterministic cell
-// failures — remote *CellError or a local error — abort the sweep with
-// the lowest-indexed failing cell's error, exactly like the sequential
-// path.
-func (p *Pool) Run(jobs []Job, local func(i int) ([]byte, error), lookup Fetch) ([][]byte, error) {
-	results := make([][]byte, len(jobs))
-	done := make([]bool, len(jobs))
+// Run executes every job and calls done(i, payload, err) exactly once
+// per job, as soon as job i completes and before Run returns; done's
+// return value is the job's outcome, and it may be called from several
+// goroutines at once. Worker connections pull jobs from a shared cursor;
+// any job no worker delivered (connection lost mid-cell, worker died, no
+// workers at all) then runs in-process through local, on par.Do with
+// the given worker count — in ascending order, each goroutine taking the
+// next job as soon as it finishes one. With an empty pool that is every
+// job. A deterministic cell failure — a remote *CellError or a local
+// error — is not retried, and Run returns the lowest-indexed job's
+// non-nil outcome, exactly like the sequential path.
+func (p *Pool) Run(jobs []Job, workers int, local func(i int) ([]byte, error), lookup Fetch,
+	done func(i int, payload []byte, err error) error) error {
 	errs := make([]error, len(jobs))
+	delivered := make([]bool, len(jobs))
+	finish := func(i int, payload []byte, err error) {
+		errs[i] = done(i, payload, err)
+		delivered[i] = true
+	}
 
 	if len(p.clients) > 0 {
-		var mu sync.Mutex
-		next := 0
-		take := func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			if next >= len(jobs) {
-				return -1
-			}
-			i := next
-			next++
-			return i
-		}
+		var next atomic.Int64
 		var wg sync.WaitGroup
 		for _, c := range p.clients {
 			wg.Add(1)
 			go func(c *client) {
 				defer wg.Done()
 				for {
-					i := take()
-					if i < 0 {
+					i := int(next.Add(1)) - 1
+					if i >= len(jobs) {
 						return
 					}
 					payload, err := c.runCell(i, jobs[i], lookup)
-					mu.Lock()
-					switch {
-					case err == nil:
-						results[i] = payload
-						done[i] = true
-					case isCellError(err):
-						errs[i] = err
-						done[i] = true
-					default:
+					if err != nil && !isCellError(err) {
 						// Transport loss: leave the cell for the local
 						// pass and retire this connection.
-						mu.Unlock()
 						p.logf("sweep: worker %s lost (cell %d re-queued locally): %v", c.addr, i, err)
 						c.conn.Close()
 						return
 					}
-					mu.Unlock()
+					finish(i, payload, err)
 				}
 			}(c)
 		}
 		wg.Wait()
 	}
 
-	// Local pass: everything undelivered (lost workers, empty pool).
 	var fallback []int
 	for i := range jobs {
-		if !done[i] {
+		if !delivered[i] {
 			fallback = append(fallback, i)
 		}
 	}
-	sort.Ints(fallback)
 	if len(fallback) > 0 && len(p.clients) > 0 {
 		p.logf("sweep: running %d cell(s) locally after worker loss", len(fallback))
 	}
-	for _, i := range fallback {
+	par.Do(len(fallback), workers, func(k int) {
+		i := fallback[k]
 		payload, err := local(i)
-		if err != nil {
-			errs[i] = err
-		} else {
-			results[i] = payload
-		}
-	}
+		finish(i, payload, err)
+	})
 
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 func isCellError(err error) bool {

@@ -71,9 +71,9 @@ func (s *Server) drop(c net.Conn) {
 
 // serveConn runs the per-connection protocol loop: HELLO exchange, then
 // RUN frames answered by RESULT/ERROR, with NEEDSNAP/SNAP sub-exchanges
-// initiated by the runner mid-cell. A panicking runner tears down this
-// connection only — never the daemon — and the coordinator re-runs the
-// lost cell locally.
+// initiated by the runner mid-cell. A malformed frame or a panicking
+// runner tears down this connection only — never the daemon — and the
+// coordinator re-runs the lost cell locally.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.drop(c)
 	defer func() {
@@ -81,8 +81,7 @@ func (s *Server) serveConn(c net.Conn) {
 			s.logf("pmoworker: connection torn down by cell panic: %v", r)
 		}
 	}()
-	var buf []byte
-	p, err := readFrame(c, buf)
+	p, err := readFrame(c)
 	if err != nil {
 		return
 	}
@@ -93,50 +92,26 @@ func (s *Server) serveConn(c net.Conn) {
 	if err := writeFrame(c, helloFrame()); err != nil {
 		return
 	}
+	fetch := func(key string) ([]byte, bool) {
+		if err := writeFrame(c, needSnapFrame(key)); err != nil {
+			return nil, false
+		}
+		p, err := readFrame(c)
+		if err != nil {
+			return nil, false
+		}
+		return decodeSnap(p)
+	}
 	for {
-		p, err := readFrame(c, buf)
+		p, err := readFrame(c)
 		if err != nil {
 			return // coordinator done (or connection lost)
 		}
-		t, r, err := frameType(p)
-		if err != nil || t != tRun {
-			s.logf("pmoworker: unexpected frame %q", t)
+		id, spec, err := decodeRun(p)
+		if err != nil {
+			s.logf("pmoworker: %v", err)
 			return
 		}
-		id := r.U32()
-		nkeys := int(r.U32())
-		keys := make([]string, 0, nkeys)
-		for i := 0; i < nkeys && r.Err() == nil; i++ {
-			keys = append(keys, r.Str())
-		}
-		spec := append([]byte(nil), r.Bytes()...)
-		if err := r.Err(); err != nil {
-			s.logf("pmoworker: bad RUN frame: %v", err)
-			return
-		}
-		_ = keys // advisory: the spec itself names the snapshots it wants
-
-		fetch := func(key string) ([]byte, bool) {
-			if err := writeFrame(c, needSnapFrame(key)); err != nil {
-				return nil, false
-			}
-			rp, err := readFrame(c, nil)
-			if err != nil {
-				return nil, false
-			}
-			ft, fr, err := frameType(rp)
-			if err != nil || ft != tSnap {
-				return nil, false
-			}
-			fr.Str() // key echo
-			found := fr.Bool()
-			data := append([]byte(nil), fr.Bytes()...)
-			if fr.Err() != nil || !found {
-				return nil, false
-			}
-			return data, true
-		}
-
 		payload, runErr := s.Run(spec, fetch)
 		if runErr != nil {
 			s.logf("pmoworker: cell %d failed: %v", id, runErr)
@@ -162,7 +137,7 @@ func dialWorker(addr string) (net.Conn, error) {
 		c.Close()
 		return nil, err
 	}
-	p, err := readFrame(c, nil)
+	p, err := readFrame(c)
 	if err != nil {
 		c.Close()
 		if err == io.EOF {

@@ -24,6 +24,16 @@ func startWorker(t *testing.T, run Runner) (*Server, string) {
 	return srv, lis.Addr().String()
 }
 
+// runAll runs jobs on pool and returns the payloads in job order.
+func runAll(pool *Pool, jobs []Job, workers int, local func(i int) ([]byte, error), lookup Fetch) ([][]byte, error) {
+	got := make([][]byte, len(jobs))
+	err := pool.Run(jobs, workers, local, lookup, func(i int, payload []byte, err error) error {
+		got[i] = payload
+		return err
+	})
+	return got, err
+}
+
 // echoRunner returns the spec back with a marker prefix.
 func echoRunner(marker string) Runner {
 	return func(spec []byte, fetch Fetch) ([]byte, error) {
@@ -43,7 +53,7 @@ func TestPoolRunsAllJobsInOrder(t *testing.T) {
 		jobs[i] = Job{Spec: []byte(fmt.Sprintf("job-%d", i))}
 	}
 	local := func(i int) ([]byte, error) { return []byte("local"), nil }
-	got, err := pool.Run(jobs, local, nil)
+	got, err := runAll(pool, jobs, 1, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +79,7 @@ func TestPoolEmptyRunsLocally(t *testing.T) {
 		t.Error("dial failure not logged")
 	}
 	jobs := []Job{{Spec: []byte("a")}, {Spec: []byte("b")}}
-	got, err := pool.Run(jobs, func(i int) ([]byte, error) {
+	got, err := runAll(pool, jobs, 1, func(i int) ([]byte, error) {
 		return append([]byte("local:"), jobs[i].Spec...), nil
 	}, nil)
 	if err != nil {
@@ -98,7 +108,7 @@ func TestPoolSnapshotPull(t *testing.T) {
 		}
 		return nil, false
 	}
-	got, err := pool.Run([]Job{{Spec: []byte("have")}, {Spec: []byte("gone")}},
+	got, err := runAll(pool, []Job{{Spec: []byte("have")}, {Spec: []byte("gone")}}, 1,
 		func(i int) ([]byte, error) { return nil, errors.New("unexpected local") }, lookup)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +145,7 @@ func TestPoolWorkerLossFallsBackLocally(t *testing.T) {
 		mu.Unlock()
 	})
 	defer pool.Close()
-	got, err := pool.Run(jobs, func(i int) ([]byte, error) {
+	got, err := runAll(pool, jobs, 2, func(i int) ([]byte, error) {
 		mu.Lock()
 		localRan = append(localRan, i)
 		mu.Unlock()
@@ -180,7 +190,7 @@ func TestPoolRemoteCellErrorAborts(t *testing.T) {
 	pool := NewPool([]string{addr}, 1, nil)
 	defer pool.Close()
 	localCalls := 0
-	_, err := pool.Run([]Job{{Spec: []byte("ok")}, {Spec: []byte("bad")}},
+	_, err := runAll(pool, []Job{{Spec: []byte("ok")}, {Spec: []byte("bad")}}, 1,
 		func(i int) ([]byte, error) { localCalls++; return nil, nil }, nil)
 	var ce *CellError
 	if !errors.As(err, &ce) {
@@ -201,14 +211,13 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Claim a future protocol version; the worker must hang up rather
-	// than serve frames it may misparse.
-	bad := []byte{tHello, 0, 0, 0, 99}
-	if err := writeFrame(c, bad); err != nil {
+	// Claim version 1, whose RUN frames carried a snapshot-key list;
+	// the worker must hang up rather than serve frames it would misparse.
+	if err := writeFrame(c, []byte{tHello, 1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(c, nil); err == nil {
+	if _, err := readFrame(c); err == nil {
 		t.Fatal("worker answered a version-mismatched HELLO")
 	}
 }
@@ -217,32 +226,137 @@ func TestFrameRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	payload := runFrame(7, []string{"k1", "k2"}, []byte("spec-bytes"))
+	payload := runFrame(7, []byte("spec-bytes"))
 	go func() { writeFrame(a, payload) }()
-	got, err := readFrame(b, nil)
+	got, err := readFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, r, err := frameType(got)
-	if err != nil || tp != tRun {
-		t.Fatalf("frame type %q err %v", tp, err)
-	}
-	if id := r.U32(); id != 7 {
-		t.Errorf("id = %d", id)
-	}
-	if n := r.U32(); n != 2 {
-		t.Errorf("nkeys = %d", n)
-	}
-	if k := r.Str(); k != "k1" {
-		t.Errorf("key1 = %q", k)
-	}
-	if k := r.Str(); k != "k2" {
-		t.Errorf("key2 = %q", k)
-	}
-	if s := string(r.Bytes()); s != "spec-bytes" {
-		t.Errorf("spec = %q", s)
-	}
-	if err := r.Err(); err != nil {
+	id, spec, err := decodeRun(got)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if id != 7 || string(spec) != "spec-bytes" {
+		t.Errorf("decoded RUN id %d spec %q", id, spec)
+	}
+	if _, _, err := decodeRun(append(got, 0)); err == nil {
+		t.Error("RUN frame with a trailing byte decoded")
+	}
+}
+
+// TestHostileRunFrameDropsOnlyItsConnection: a RUN frame whose spec
+// length claims 4 GiB (the key count of a version-1 RUN frame, which
+// the worker once allocated for before checking it against the frame)
+// must cost the worker that connection and nothing else.
+func TestHostileRunFrameDropsOnlyItsConnection(t *testing.T) {
+	_, addr := startWorker(t, echoRunner("ok:"))
+	c, err := dialWorker(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hostile := []byte{tRun, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
+	if err := writeFrame(c, hostile); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if p, err := readFrame(c); err == nil {
+		t.Fatalf("worker answered a hostile RUN frame with %q", p)
+	}
+
+	// The daemon survives: a new connection handshakes and serves a cell.
+	pool := NewPool([]string{addr}, 1, nil)
+	defer pool.Close()
+	if pool.Workers() != 1 {
+		t.Fatal("worker stopped accepting connections after a hostile frame")
+	}
+	got, err := runAll(pool, []Job{{Spec: []byte("cell")}}, 1,
+		func(i int) ([]byte, error) { return nil, errors.New("unexpected local") }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[0]) != "ok:cell" {
+		t.Errorf("payload after hostile frame = %q", got[0])
+	}
+}
+
+// TestPoolDoneOncePerJob: the completion hook runs exactly once per
+// job, before Run returns, whichever path delivered it — a worker, the
+// fallback after a worker loss, or the local pass of an empty pool —
+// and a failed job reports its error through the hook too.
+func TestPoolDoneOncePerJob(t *testing.T) {
+	var served atomic.Int32
+	_, dying := startWorker(t, func(spec []byte, fetch Fetch) ([]byte, error) {
+		if served.Add(1) > 2 {
+			panic("worker dies mid-sweep")
+		}
+		return spec, nil
+	})
+	_, failing := startWorker(t, func(spec []byte, fetch Fetch) ([]byte, error) {
+		return nil, errors.New("cell failed")
+	})
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+	}{
+		{"remote+fallback", []string{dying}},
+		{"remote-errors", []string{failing}},
+		{"local", nil},
+	} {
+		pool := NewPool(tc.addrs, 1, nil)
+		jobs := make([]Job, 9)
+		for i := range jobs {
+			jobs[i] = Job{Spec: []byte{byte(i)}}
+		}
+		var mu sync.Mutex
+		calls := make([]int, len(jobs))
+		err := pool.Run(jobs, 3, func(i int) ([]byte, error) {
+			return jobs[i].Spec, nil
+		}, nil, func(i int, payload []byte, err error) error {
+			mu.Lock()
+			calls[i]++
+			mu.Unlock()
+			return err
+		})
+		pool.Close()
+		if tc.name == "remote-errors" {
+			var ce *CellError
+			if !errors.As(err, &ce) {
+				t.Errorf("%s: err = %v, want a CellError", tc.name, err)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		for i, n := range calls {
+			if n != 1 {
+				t.Errorf("%s: done ran %d times for job %d", tc.name, n, i)
+			}
+		}
+		mu.Unlock()
+	}
+}
+
+// TestPoolLocalRunsConcurrently: with no workers and a local worker
+// count of 2, two local jobs are in flight at once.
+func TestPoolLocalRunsConcurrently(t *testing.T) {
+	pool := NewPool(nil, 1, nil)
+	var inFlight sync.WaitGroup
+	inFlight.Add(2)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- pool.Run(make([]Job, 2), 2, func(i int) ([]byte, error) {
+			inFlight.Done()
+			inFlight.Wait() // returns only once both jobs have started
+			return nil, nil
+		}, nil, func(i int, payload []byte, err error) error { return err })
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("two local workers never had two jobs in flight")
 	}
 }

@@ -1,14 +1,13 @@
 package domainvirt
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"domainvirt/internal/obs"
+	"domainvirt/internal/sweep"
 )
 
 // expCell is one independent cell of the experiment grid: a (workload,
@@ -27,174 +26,99 @@ func (c expCell) label() string {
 	return fmt.Sprintf("%s-%s-p%d", c.name, c.scheme, c.p.NumPMOs)
 }
 
-// runGrid evaluates every cell with a bounded worker pool and returns
-// the results keyed by cell. Each cell builds its own machine and
-// workload, so cells share no mutable state and the outcome is
-// independent of scheduling; callers aggregate in their own fixed order,
-// which keeps reports byte-identical to the sequential path. Workers <= 0
-// selects GOMAXPROCS; Workers == 1 runs inline. On failure the error of
-// the lowest-indexed failing cell is returned — the same one the
-// sequential path would have hit first.
+// runGrid evaluates every cell and returns the results keyed by cell.
+// Every grid takes one path: each cell is encoded as a sweep job and
+// handed to a sweep.Pool, which ships jobs to the pmoworkers named by
+// opt.SweepAddrs (if any) and runs every job no worker delivered in this
+// process through RunSweepCell, on opt.Workers goroutines (<= 0 selects
+// GOMAXPROCS; 1 runs inline) taking cells in ascending order. Each cell
+// builds its own machine and workload, so cells share no mutable state
+// and the outcome is independent of scheduling; callers aggregate in
+// their own fixed order, which keeps reports byte-identical to the
+// sequential path. On failure the error of the lowest-indexed failing
+// cell is returned — the same one the sequential path would have hit
+// first.
 //
-// When opt.Progress is set, each completed cell prints one
-// "[done/total] label" line (ordering follows completion, content does
-// not). When opt.Obs.Dir is set, every cell runs observed and the grid's
-// observability data is exported there after all cells finish; the
-// export loop runs in fixed cell order, so the files are deterministic.
+// When opt.Progress is set, each cell prints one "[done/total] label"
+// line as it completes, or a "FAIL label: err" line if it fails
+// (ordering follows completion, content does not). When opt.Obs.Dir is
+// set, every cell runs observed and the grid's observability data is
+// exported there after all cells finish; the export loop runs in fixed
+// cell order, so the files are deterministic.
 func runGrid(opt ExpOptions, cells []expCell) (gridResults, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	uniq := make([]expCell, 0, len(cells))
+	var uniq []expCell
+	var jobs []sweep.Job
 	seen := make(map[expCell]bool, len(cells))
 	for _, c := range cells {
-		if !seen[c] {
-			seen[c] = true
-			uniq = append(uniq, c)
+		if seen[c] {
+			continue
 		}
-	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	observed := opt.Obs.Dir != ""
-
-	if len(opt.SweepAddrs) > 0 {
-		// Distributed path: fan the cells out to pmoworker daemons.
-		// Results and artifacts come back per cell and merge in the
-		// same fixed order as the local path below.
-		results, artifacts, err := runGridRemote(opt, uniq)
+		seen[c] = true
+		job, err := encodeSweepCell(c, opt)
 		if err != nil {
 			return nil, err
 		}
-		if observed {
-			if err := exportGridObs(opt, uniq, artifacts); err != nil {
-				return nil, err
-			}
-		}
-		out := make(gridResults, len(uniq))
-		for i, c := range uniq {
-			out[c] = results[i]
-		}
-		return out, nil
+		uniq = append(uniq, c)
+		jobs = append(jobs, job)
 	}
 
 	prog := obs.NewProgress(opt.Progress, len(uniq))
-	results := make([]Result, len(uniq))
-	recs := make([]*obs.Recorder, len(uniq))
-	errs := make([]error, len(uniq))
-	runCell := func(i int) {
-		c := uniq[i]
-		var hit bool
-		if observed {
-			results[i], recs[i], hit, errs[i] = RunObservedCached(c.name, c.p, c.scheme, opt.Cfg,
-				ObsOptions{Epoch: opt.Obs.Epoch}, opt.Snapshots)
-		} else {
-			results[i], hit, errs[i] = RunCached(c.name, c.p, c.scheme, opt.Cfg, opt.Snapshots)
+	pool := sweep.NewPool(opt.SweepAddrs, opt.SweepConns, prog.Logf)
+	defer pool.Close()
+	if len(opt.SweepAddrs) > 0 {
+		prog.Logf("sweep: %d worker connection(s) across %d address(es)", pool.Workers(), len(opt.SweepAddrs))
+	}
+	local := func(i int) ([]byte, error) { return RunSweepCell(jobs[i].Spec, opt.Snapshots, nil) }
+	// Workers keep warmup caches of their own, so a distributed grid tags
+	// its cells even without a local cache.
+	tagged := opt.Snapshots != nil || len(opt.SweepAddrs) > 0
+	outs := make([]cellOut, len(uniq))
+	err := pool.Run(jobs, opt.Workers, local, opt.Snapshots.getEncoded, func(i int, payload []byte, err error) error {
+		label := uniq[i].label()
+		if err == nil {
+			if err = json.Unmarshal(payload, &outs[i]); err != nil {
+				err = fmt.Errorf("domainvirt: bad sweep cell payload for %s: %w", label, err)
+			}
 		}
-		if errs[i] != nil {
-			prog.Logf("FAIL %s: %v", c.label(), errs[i])
-			return
+		if err != nil {
+			prog.Logf("FAIL %s: %v", label, err)
+			return err
 		}
-		label := c.label()
-		if opt.Snapshots != nil {
-			if hit {
+		if tagged {
+			if outs[i].Hit {
 				label += " (snapshot)"
 			} else {
 				label += " (warmup)"
 			}
 		}
 		prog.Done(label)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 1 {
-		for i := range uniq {
-			runCell(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runCell(i)
-				}
-			}()
-		}
-		for i := range uniq {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if observed {
-		artifacts := make([]cellObs, len(uniq))
-		for i, rec := range recs {
-			artifacts[i] = recorderObs(rec, opt.Obs.Epoch)
-		}
-		if err := exportGridObs(opt, uniq, artifacts); err != nil {
+	if opt.Obs.Dir != "" {
+		if err := exportGridObs(opt, uniq, outs); err != nil {
 			return nil, err
 		}
 	}
 	out := make(gridResults, len(uniq))
 	for i, c := range uniq {
-		out[c] = results[i]
+		out[c] = outs[i].Result
 	}
 	return out, nil
-}
-
-// cellObs is one cell's observability artifact set in rendered form:
-// the manifest and epoch-series bytes exactly as the recorder writes
-// them, plus the two latency histograms (mergeable values). Local cells
-// render theirs via recorderObs; distributed cells ship theirs back
-// pre-rendered, so both paths export identical files.
-type cellObs struct {
-	ok       bool
-	manifest []byte
-	series   []byte
-	access   obs.Histogram
-	setperm  obs.Histogram
-}
-
-// recorderObs renders a local recorder's artifacts.
-func recorderObs(rec *obs.Recorder, epoch uint64) cellObs {
-	if rec == nil {
-		return cellObs{}
-	}
-	var man bytes.Buffer
-	if err := rec.Manifest().WriteJSON(&man); err != nil {
-		return cellObs{}
-	}
-	co := cellObs{ok: true, manifest: man.Bytes()}
-	if epoch > 0 {
-		var series bytes.Buffer
-		if err := rec.WriteJSONL(&series); err != nil {
-			return cellObs{}
-		}
-		co.series = series.Bytes()
-	}
-	co.access = *rec.AccessHist()
-	co.setperm = *rec.SetPermHist()
-	return co
 }
 
 // exportGridObs writes the grid's observability artifacts into
 // opt.Obs.Dir: one manifest-<label>.json per cell, one
 // series-<label>.jsonl per cell when epoch sampling was on, and one
 // hist-<scheme>.prom per scheme holding the access and SETPERM latency
-// histograms merged across that scheme's cells. It runs after the worker
-// pool (local or distributed) has drained, iterating cells in their
+// histograms merged across that scheme's cells. It runs after the pool
+// has drained, iterating cells in their
 // fixed grid order; histogram merging is commutative. The output is
 // byte-deterministic for a given seed regardless of scheduling or of
 // which worker ran which cell.
-func exportGridObs(opt ExpOptions, cells []expCell, artifacts []cellObs) error {
+func exportGridObs(opt ExpOptions, cells []expCell, outs []cellOut) error {
 	dir := opt.Obs.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -214,12 +138,12 @@ func exportGridObs(opt ExpOptions, cells []expCell, artifacts []cellObs) error {
 	merged := make(map[Scheme]*histPair)
 	var order []Scheme
 	for i, c := range cells {
-		co := artifacts[i]
-		if !co.ok {
+		co := outs[i]
+		if co.Manifest == nil {
 			continue
 		}
 		err := writeFile(filepath.Join(dir, "manifest-"+c.label()+".json"), func(f *os.File) error {
-			_, err := f.Write(co.manifest)
+			_, err := f.Write(co.Manifest)
 			return err
 		})
 		if err != nil {
@@ -227,7 +151,7 @@ func exportGridObs(opt ExpOptions, cells []expCell, artifacts []cellObs) error {
 		}
 		if opt.Obs.Epoch > 0 {
 			err := writeFile(filepath.Join(dir, "series-"+c.label()+".jsonl"), func(f *os.File) error {
-				_, err := f.Write(co.series)
+				_, err := f.Write(co.Series)
 				return err
 			})
 			if err != nil {
@@ -240,8 +164,8 @@ func exportGridObs(opt ExpOptions, cells []expCell, artifacts []cellObs) error {
 			merged[c.scheme] = hp
 			order = append(order, c.scheme)
 		}
-		hp.access.Merge(&co.access)
-		hp.setperm.Merge(&co.setperm)
+		hp.access.Merge(&co.Access)
+		hp.setperm.Merge(&co.SetPerm)
 	}
 	for _, s := range order {
 		hp := merged[s]

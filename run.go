@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"domainvirt/internal/core"
+	"domainvirt/internal/memlayout"
 	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
+	"domainvirt/internal/trace"
 	"domainvirt/internal/workload"
 )
 
@@ -15,7 +18,8 @@ import (
 // event stream under every scheme, as the paper's trace-replay
 // methodology requires.
 func Run(name string, p Params, scheme Scheme, cfg Config) (Result, error) {
-	return runMachine(name, p, scheme, cfg, nil)
+	res, _, err := runCell(name, p, scheme, cfg, nil, nil)
+	return res, err
 }
 
 // RunObserved is Run with an observability recorder attached for the
@@ -26,27 +30,91 @@ func Run(name string, p Params, scheme Scheme, cfg Config) (Result, error) {
 // the Result is identical to what Run returns for the same arguments.
 func RunObserved(name string, p Params, scheme Scheme, cfg Config, o ObsOptions) (Result, *Recorder, error) {
 	rec := obs.NewRecorder(o)
-	res, err := runMachine(name, p, scheme, cfg, rec)
+	res, _, err := runCell(name, p, scheme, cfg, rec, nil)
 	return res, rec, err
 }
 
-func runMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder) (Result, error) {
+// runCell is the one cell runner behind Run, RunObserved, RunCached,
+// RunSweepCell and so every grid: prepare the cell, then measure it with
+// rec (if any) attached. hit reports a cell served from a cached warmup
+// checkpoint.
+func runCell(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (res Result, hit bool, err error) {
+	c, src, err := prepare(name, p, scheme, cfg, cache)
+	if err != nil {
+		return Result{}, false, err
+	}
+	res, err = c.measure(name, scheme, cfg, rec)
+	return res, src == warmupDisk || src == warmupMem, err
+}
+
+// prepare returns the cell set up and ready to measure: served by cache
+// when there is one (see SnapshotCache.ready), else simulated on a fresh
+// machine.
+func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache) (readyCell, warmupSource, error) {
 	w, err := workload.New(name)
 	if err != nil {
-		return Result{}, err
+		return readyCell{}, warmupNone, err
 	}
+	if cache != nil {
+		return cache.ready(w, name, p, scheme, cfg)
+	}
+	c, _, err := setUp(w, name, p, scheme, cfg)
+	return c, warmupNone, err
+}
+
+// setUp simulates w's setup on a fresh machine, then resets its
+// statistics so the measured phase starts from zero. forkable reports a
+// setup that raised no domain or page fault: only such a setup may be
+// replayed against Discard (see fork).
+func setUp(w workload.Workload, name string, p Params, scheme Scheme, cfg Config) (c readyCell, forkable bool, err error) {
 	m := sim.NewMachine(cfg, scheme)
 	env := workload.NewEnv(m, p)
 	if err := w.Setup(env); err != nil {
-		return Result{}, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+		return readyCell{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 	}
+	r := m.Result()
+	forkable = r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0
 	m.ResetStats()
-	return readyCell{m: m, w: w, env: env}.measure(name, scheme, cfg, rec)
+	return readyCell{m: m, w: w, env: env}, forkable, nil
 }
 
+// fork prepares a cell that measures on m, a machine already holding a
+// checkpoint: it rebuilds w's Go-side state (pools, data structures,
+// attachments) by running Setup against Discard — no simulation. The
+// returned switch still points at Discard; the caller hands it m where
+// the replayed prefix ends.
+func fork(w workload.Workload, name string, p Params, scheme Scheme, m *sim.Machine) (readyCell, *sinkSwitch, error) {
+	sw := &sinkSwitch{inner: trace.Discard{}}
+	env := workload.NewEnv(sw, p)
+	if err := w.Setup(env); err != nil {
+		return readyCell{}, nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+	}
+	return readyCell{m: m, w: w, env: env}, sw, nil
+}
+
+// sinkSwitch delegates the trace.Sink interface to a swappable inner
+// sink, so a forked cell's Go-side replay can run against Discard and
+// its measured operations against the machine.
+type sinkSwitch struct{ inner trace.Sink }
+
+func (s *sinkSwitch) Instr(th ThreadID, n uint64) { s.inner.Instr(th, n) }
+func (s *sinkSwitch) Access(th ThreadID, va VA, size uint32, write bool) bool {
+	return s.inner.Access(th, va, size, write)
+}
+func (s *sinkSwitch) Fetch(th ThreadID, va VA) bool { return s.inner.Fetch(th, va) }
+func (s *sinkSwitch) SetPerm(th ThreadID, d DomainID, p Perm, site core.SiteID) {
+	s.inner.SetPerm(th, d, p, site)
+}
+func (s *sinkSwitch) Attach(d DomainID, r memlayout.Region, perm Perm) error {
+	return s.inner.Attach(d, r, perm)
+}
+func (s *sinkSwitch) Detach(d DomainID) { s.inner.Detach(d) }
+func (s *sinkSwitch) Fence(th ThreadID) { s.inner.Fence(th) }
+
 // readyCell is one cell ready for its measured phase: a machine holding
-// the post-ResetStats warmup state, and the workload whose Go-side state
-// Setup built through env, which drives m.
+// the state that phase starts from, and the workload whose Go-side state
+// Setup built through env, which drives m (directly, or through the
+// sinkSwitch of a fork).
 type readyCell struct {
 	m   *sim.Machine
 	w   workload.Workload

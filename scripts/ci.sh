@@ -52,6 +52,9 @@ go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
 # A short live fuzz of the snapshot decoder, the reader of the files a
 # persistent store shares between processes.
 go test -fuzz FuzzDecodeSnapshot -fuzztime 5s -run '^$' ./internal/sim/
+# And of the sweep frame decoders, the readers of every frame a
+# pmoworker and its coordinator exchange over the network.
+go test -fuzz FuzzFrames -fuzztime 5s -run '^$' ./internal/sweep/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the

@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"sync"
 
-	"domainvirt/internal/core"
 	"domainvirt/internal/memlayout"
-	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
 	"domainvirt/internal/snapstore"
 	"domainvirt/internal/tlb"
-	"domainvirt/internal/trace"
 	"domainvirt/internal/workload"
 )
 
@@ -61,10 +58,11 @@ type snapKey struct {
 	sc     structuralConfig
 }
 
+// snapEntry is one warmup checkpoint; snap stays nil when the setup
+// that would have built it was not forkable.
 type snapEntry struct {
 	once sync.Once
 	snap *sim.Snapshot
-	ok   bool
 }
 
 // warmupParams normalizes p to its warmup identity: the resolved
@@ -180,8 +178,8 @@ func (c *SnapshotCache) count(f func(*SnapshotCacheStats)) {
 	c.mu.Unlock()
 }
 
-// Persistent reports whether the cache is backed by an on-disk store.
-func (c *SnapshotCache) Persistent() bool { return c.store != nil }
+// persistent reports whether the cache is backed by an on-disk store.
+func (c *SnapshotCache) persistent() bool { return c != nil && c.store != nil }
 
 // HasStored reports whether the backing store holds key. Memory-only
 // caches hold nothing.
@@ -189,22 +187,23 @@ func (c *SnapshotCache) HasStored(key string) bool {
 	return c.store != nil && c.store.Has(key)
 }
 
-// GetEncoded returns the stored bytes for key (snapstore.ErrMiss when
-// absent or when the cache is memory-only). The bytes are the encoded
-// snapshot verbatim; callers decode — and must treat a decode failure as
-// a miss.
-func (c *SnapshotCache) GetEncoded(key string) ([]byte, error) {
-	if c.store == nil {
-		return nil, fmt.Errorf("%w: no store", snapstore.ErrMiss)
+// getEncoded returns the stored bytes for key, ok=false when absent or
+// when the cache is nil or memory-only. The bytes are the encoded
+// snapshot verbatim; callers decode — and must treat a decode failure
+// as a miss. It is the coordinator's answer to a worker's NEEDSNAP.
+func (c *SnapshotCache) getEncoded(key string) ([]byte, bool) {
+	if !c.persistent() {
+		return nil, false
 	}
-	return c.store.Get(key)
+	data, err := c.store.Get(key)
+	return data, err == nil
 }
 
-// PutEncoded writes pre-encoded snapshot bytes through to the store
-// (no-op for memory-only caches). The sweep tier uses it to install
-// snapshots pulled from the coordinator; the horizon layer uses it for
-// mid-run checkpoints.
-func (c *SnapshotCache) PutEncoded(key string, data []byte) error {
+// putEncoded writes pre-encoded snapshot bytes through to the store
+// (no-op for memory-only caches). A worker uses it to install snapshots
+// pulled from the coordinator; the horizon layer uses it for mid-run
+// checkpoints.
+func (c *SnapshotCache) putEncoded(key string, data []byte) error {
 	if c.store == nil {
 		return nil
 	}
@@ -244,50 +243,24 @@ func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*
 	return snap, probe, true
 }
 
-// sinkSwitch delegates the trace.Sink interface to a swappable inner
-// sink. A forked cell rebuilds its Go-side workload state (pools, data
-// structures, attachments) by running Setup against Discard — no
-// simulation — then swaps the restored machine in for the measured Run.
-type sinkSwitch struct{ inner trace.Sink }
-
-func (s *sinkSwitch) Instr(th ThreadID, n uint64) { s.inner.Instr(th, n) }
-func (s *sinkSwitch) Access(th ThreadID, va VA, size uint32, write bool) bool {
-	return s.inner.Access(th, va, size, write)
-}
-func (s *sinkSwitch) Fetch(th ThreadID, va VA) bool { return s.inner.Fetch(th, va) }
-func (s *sinkSwitch) SetPerm(th ThreadID, d DomainID, p Perm, site core.SiteID) {
-	s.inner.SetPerm(th, d, p, site)
-}
-func (s *sinkSwitch) Attach(d DomainID, r memlayout.Region, perm Perm) error {
-	return s.inner.Attach(d, r, perm)
-}
-func (s *sinkSwitch) Detach(d DomainID) { s.inner.Detach(d) }
-func (s *sinkSwitch) Fence(th ThreadID) { s.inner.Fence(th) }
-
-// warmupSource reports how a warmup checkpoint was served.
+// warmupSource reports how a cell's warmup was served.
 type warmupSource int
 
 const (
-	warmupBuilt warmupSource = iota // setup simulated by this call
+	warmupNone  warmupSource = iota // no checkpoint: uncached, or a setup that is not forkable
+	warmupBuilt                     // setup simulated by this call, then checkpointed
 	warmupDisk                      // loaded from the backing store
 	warmupMem                       // already resident in memory
 )
 
-// warmed is how one call was served its warmup checkpoint. A nil snap
-// means the cell's setup is not forkable — the workload errored or its
-// setup raised faults — and the caller must fall back to the uncached
-// path. cell is what the call that materialized the checkpoint holds
-// of it: the builder's machine together with the workload its simulated
-// Setup populated, or the probe machine a disk load restored (cell.w is
-// nil: the Go-side state is still to be rebuilt). A memory hit gets a
-// zero cell and forks.
-type warmed struct {
-	snap *sim.Snapshot
-	src  warmupSource
-	cell readyCell
-}
-
-// warmup serves (building if needed) the warmup checkpoint for one cell.
+// ready serves one cell through the cache, set up and ready to measure.
+// The call whose once.Do materializes the warmup checkpoint runs its
+// cell on the machine that holds it: a builder on the machine its
+// simulated Setup warmed, with w populated, exactly as an uncached cell;
+// a disk load on the probe loadCheckpoint validated. Only calls that
+// find the checkpoint already in memory restore a machine of their own.
+// A setup that is not forkable is never checkpointed: its builder
+// measures its own machine, and every later call sets up afresh.
 //
 // Safety: forked cells replay Setup against a Discard sink, which
 // permits everything. That is behaviorally identical to the real setup
@@ -295,36 +268,28 @@ type warmed struct {
 // returns zeros and could steer subsequent setup work), so the builder
 // demands zero domain and page faults during the simulated setup before
 // caching.
-func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config) warmed {
+func (c *SnapshotCache) ready(w workload.Workload, name string, p Params, scheme Scheme, cfg Config) (readyCell, warmupSource, error) {
 	key := snapKey{name: name, p: warmupParams(p), scheme: scheme, sc: structuralOf(cfg)}
 	e := c.entry(key)
-	wu := warmed{src: warmupMem}
+	var (
+		cell readyCell
+		src  = warmupMem
+		err  error
+	)
 	e.once.Do(func() {
 		if snap, probe, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
-			wu.src = warmupDisk
-			wu.cell.m = probe
-			e.snap = snap
-			e.ok = true
+			e.snap, cell.m, src = snap, probe, warmupDisk
 			return
 		}
-		wu.src = warmupBuilt
 		c.count(func(s *SnapshotCacheStats) { s.Warmups++ })
-		bw, err := workload.New(name)
-		if err != nil {
+		var forkable bool
+		cell, forkable, err = setUp(w, name, p, scheme, cfg)
+		if err != nil || !forkable {
+			src = warmupNone
 			return
 		}
-		m := sim.NewMachine(cfg, scheme)
-		env := workload.NewEnv(m, p)
-		if err := bw.Setup(env); err != nil {
-			return
-		}
-		if r := m.Result(); r.Counters.DomainFaults > 0 || r.Counters.PageFaults > 0 {
-			return // setup depends on verdicts; not safely forkable
-		}
-		m.ResetStats()
-		e.snap = m.Snapshot()
-		e.ok = true
-		wu.cell = readyCell{m: m, w: bw, env: env}
+		src = warmupBuilt
+		e.snap = cell.m.Snapshot()
 		if c.store != nil {
 			if data, encErr := sim.EncodeSnapshot(e.snap); encErr == nil {
 				// Best-effort write-through: a full disk degrades to the
@@ -333,57 +298,24 @@ func (c *SnapshotCache) warmup(name string, p Params, scheme Scheme, cfg Config)
 			}
 		}
 	})
-	if !e.ok {
-		return wu
-	}
-	if wu.src == warmupMem {
+	switch {
+	case src == warmupBuilt || src == warmupNone:
+		return cell, src, err // this call simulated the setup
+	case e.snap == nil:
+		// An earlier call found the setup not forkable.
+		cell, _, err = setUp(w, name, p, scheme, cfg)
+		return cell, warmupNone, err
+	case src == warmupMem:
 		c.count(func(s *SnapshotCacheStats) { s.MemHits++ })
+		cell.m = sim.NewMachine(cfg, scheme)
+		cell.m.Restore(e.snap)
 	}
-	wu.snap = e.snap
-	return wu
-}
-
-// runCachedMachine is runMachine with warmup snapshot reuse. The second
-// return value reports whether the cell was served from a cached
-// checkpoint (false for the cell that built it, and for fallbacks).
-//
-// The call that materializes a checkpoint runs its cell on that
-// machine: the builder on the machine its simulated Setup warmed, with
-// the same workload, exactly as runMachine does; a disk load on the
-// probe loadCheckpoint validated. Only cells that find the checkpoint
-// already in memory restore a machine of their own.
-func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (Result, bool, error) {
-	if cache == nil {
-		res, err := runMachine(name, p, scheme, cfg, rec)
-		return res, false, err
-	}
-	w, err := workload.New(name)
+	cell, sw, err := fork(w, name, p, scheme, cell.m)
 	if err != nil {
-		return Result{}, false, err
+		return readyCell{}, warmupNone, err
 	}
-	wu := cache.warmup(name, p, scheme, cfg)
-	if wu.snap == nil {
-		res, err := runMachine(name, p, scheme, cfg, rec)
-		return res, false, err
-	}
-	cell := wu.cell
-	if cell.w == nil {
-		// Fork: rebuild Go-side workload state without simulation, then
-		// run the measured phase on the machine holding the checkpoint.
-		sw := &sinkSwitch{inner: trace.Discard{}}
-		env := workload.NewEnv(sw, p)
-		if err := w.Setup(env); err != nil {
-			return Result{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
-		}
-		if cell.m == nil {
-			cell.m = sim.NewMachine(cfg, scheme)
-			cell.m.Restore(wu.snap)
-		}
-		sw.inner = cell.m
-		cell.w, cell.env = w, env
-	}
-	res, err := cell.measure(name, scheme, cfg, rec)
-	return res, wu.src != warmupBuilt, err
+	sw.inner = cell.m
+	return cell, src, nil
 }
 
 // RunCached is Run with warmup snapshot reuse through cache (nil cache
@@ -391,14 +323,5 @@ func runCachedMachine(name string, p Params, scheme Scheme, cfg Config, rec *obs
 // was served from a checkpoint built by an earlier cell with the same
 // workload, parameters, scheme, and structural configuration.
 func RunCached(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache) (Result, bool, error) {
-	return runCachedMachine(name, p, scheme, cfg, nil, cache)
-}
-
-// RunObservedCached is RunObserved with warmup snapshot reuse. The
-// recorder observes the measured phase only, exactly as in RunObserved;
-// exports are byte-identical to the uncached path.
-func RunObservedCached(name string, p Params, scheme Scheme, cfg Config, o ObsOptions, cache *SnapshotCache) (Result, *Recorder, bool, error) {
-	rec := obs.NewRecorder(o)
-	res, hit, err := runCachedMachine(name, p, scheme, cfg, rec, cache)
-	return res, rec, hit, err
+	return runCell(name, p, scheme, cfg, nil, cache)
 }

@@ -2,8 +2,6 @@ package domainvirt_test
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -134,80 +132,54 @@ func TestSnapshotCacheCostIndependence(t *testing.T) {
 
 // TestSnapshotCacheObservedExports: every observed cached path must
 // export byte-identical artifacts to the uncached observed path —
-// manifests, epoch series, and histograms alike. The cells cover each
-// way a cache serves a warmup: the call that builds the checkpoint (and
-// runs on the machine it built), a memory hit that forks, and a disk hit
-// in a fresh cache over the primed directory (which runs on the machine
-// that validated the file).
+// manifests, epoch series, and histograms alike. One-cell grids cover
+// each way a cache serves a warmup: the cell that builds the checkpoint
+// (and runs on the machine it built), a memory hit that forks, and a
+// disk hit in a fresh cache over the primed directory (which runs on the
+// machine that validated the file).
 func TestSnapshotCacheObservedExports(t *testing.T) {
-	cfg := domainvirt.DefaultConfig()
-	o := domainvirt.ObsOptions{Epoch: 2000}
-	export := func(rec *domainvirt.Recorder, dir string) map[string][]byte {
+	grid := func(cache *domainvirt.SnapshotCache) map[string][]byte {
 		t.Helper()
-		paths, err := rec.ExportDir(dir, "cell")
-		if err != nil {
+		opt := domainvirt.DefaultExpOptions()
+		opt.Snapshots = cache
+		opt.Obs = domainvirt.ExpObs{Dir: t.TempDir(), Epoch: 2000}
+		if _, err := domainvirt.RunSchemesOpt("avl", cacheParams(), opt, domainvirt.SchemeDomainVirt); err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string][]byte, len(paths))
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[filepath.Base(p)] = b
-		}
-		return out
+		return dirBytes(t, opt.Obs.Dir)
 	}
-	run := func(cache *domainvirt.SnapshotCache, wantHit bool) *domainvirt.Recorder {
-		t.Helper()
-		_, rec, hit, err := domainvirt.RunObservedCached("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit != wantHit {
-			t.Fatalf("observed cached run reported hit=%v, want %v", hit, wantHit)
-		}
-		return rec
-	}
-
-	_, plainRec, err := domainvirt.RunObserved("avl", cacheParams(), domainvirt.SchemeDomainVirt, cfg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := grid(nil)
 	dir := t.TempDir()
 	cache, err := domainvirt.NewSnapshotCacheDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildRec := run(cache, false)
-	memRec := run(cache, true)
+	build := grid(cache)
+	if st := cache.Stats(); st.Warmups != 1 || st.MemHits != 0 {
+		t.Fatalf("cache-building grid: stats %+v, want 1 warmup", st)
+	}
+	mem := grid(cache)
+	if st := cache.Stats(); st.Warmups != 1 || st.MemHits != 1 {
+		t.Fatalf("memory-hit grid: stats %+v, want 1 memory hit", st)
+	}
 	disk, err := domainvirt.NewSnapshotCacheDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskRec := run(disk, true)
+	fromDisk := grid(disk)
 	if st := disk.Stats(); st.DiskHits != 1 || st.Warmups != 0 {
 		t.Fatalf("fresh cache over the primed store: stats %+v, want 1 disk hit", st)
 	}
 
-	a := export(plainRec, t.TempDir())
+	if len(want) == 0 {
+		t.Fatal("uncached observed grid exported nothing")
+	}
 	for _, c := range []struct {
-		path string
-		rec  *domainvirt.Recorder
-	}{{"cache-building", buildRec}, {"memory-hit", memRec}, {"disk-hit", diskRec}} {
-		b := export(c.rec, t.TempDir())
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("%s: export file sets differ: %d vs %d", c.path, len(a), len(b))
-		}
-		for name, data := range a {
-			other, ok := b[name]
-			if !ok {
-				t.Errorf("%s export missing %s", c.path, name)
-				continue
-			}
-			if !bytes.Equal(data, other) {
-				t.Errorf("%s: %s differs between uncached and cached observed runs", c.path, name)
-			}
+		path  string
+		files map[string][]byte
+	}{{"cache-building", build}, {"memory-hit", mem}, {"disk-hit", fromDisk}} {
+		if !reflect.DeepEqual(c.files, want) {
+			t.Errorf("%s: observed grid exports differ from the uncached grid's", c.path)
 		}
 	}
 }
