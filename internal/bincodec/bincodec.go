@@ -1,10 +1,12 @@
-// Package bincodec provides the little-endian append/read primitives
-// shared by the snapshot binary codec (internal/sim and the leaf state
-// packages it composes). Encoders append to a caller-owned buffer;
+// Package bincodec is the binary codec of machine snapshots and of the
+// sweep protocol's frames: little-endian append primitives, a Reader that
+// decodes them, and a walker (Append, Decode) that derives a value's
+// format from its Go type. Encoders append to a caller-owned buffer;
 // decoders consume through a Reader that accumulates the first error and
 // bounds-checks every declared count against the bytes actually present,
 // so a hostile or truncated input fails with ErrShort/ErrCount instead of
-// provoking a huge allocation or a slice panic.
+// provoking a huge allocation or a slice panic. reflect and unsafe stay
+// inside this package.
 package bincodec
 
 import (
@@ -27,9 +29,6 @@ func U64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b,
 
 // U32 appends v little-endian.
 func U32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
-// U16 appends v little-endian.
-func U16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 
 // U8 appends v.
 func U8(b []byte, v uint8) []byte { return append(b, v) }
@@ -110,17 +109,6 @@ func (r *Reader) U32() uint32 {
 	return v
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if len(r.b) < 2 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
 	if len(r.b) < 1 {
@@ -134,9 +122,6 @@ func (r *Reader) U8() uint8 {
 
 // Bool reads one byte; any nonzero value is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// Int reads a value written with U32 and returns it as an int.
-func (r *Reader) Int() int { return int(r.U32()) }
 
 // Str reads a u32-length-prefixed string.
 func (r *Reader) Str() string { return string(r.Take(r.Count(1))) }

@@ -225,7 +225,7 @@ func (c *Cache) SnapshotInto(s *CacheState) {
 // Restore reinstates a snapshot taken from a cache of identical geometry,
 // reusing the receiver's storage. It panics on a geometry mismatch.
 func (c *Cache) Restore(s *CacheState) {
-	if len(s.lines) != len(c.lines) {
+	if len(s.lines) != len(c.lines) || len(s.lru) != len(s.lines) {
 		panic("cache: Restore geometry mismatch")
 	}
 	copy(c.lines, s.lines)

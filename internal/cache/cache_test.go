@@ -132,3 +132,30 @@ func TestSingleWriterInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsShortPairedSlices: on disk every slice of a snapshot
+// carries its own count, so a decoded snapshot can pair a full slice
+// with a short one. Restore must refuse it, not copy the short slice
+// over part of the live one and keep stale state behind it.
+func TestRestoreRejectsShortPairedSlices(t *testing.T) {
+	h := smallHierarchy(2)
+	for i := 0; i < 200; i++ {
+		h.Access(i%2, memlayout.PA(i*64), i%3 == 0)
+	}
+	for name, cut := range map[string]func(*HierarchyState){
+		"L1 lru":  func(s *HierarchyState) { s.l1[1].lru = s.l1[1].lru[:len(s.l1[1].lru)-1] },
+		"L2 lru":  func(s *HierarchyState) { s.l2.lru = s.l2.lru[:1] },
+		"lastPos": func(s *HierarchyState) { s.lastPos = s.lastPos[:1] },
+	} {
+		s := h.Snapshot()
+		cut(s)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restore accepted a short slice", name)
+				}
+			}()
+			smallHierarchy(2).Restore(s)
+		}()
+	}
+}

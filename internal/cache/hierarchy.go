@@ -263,7 +263,7 @@ func (h *Hierarchy) SnapshotInto(s *HierarchyState) {
 // Restore reinstates a snapshot taken from a hierarchy of identical
 // geometry (same core count and cache configurations).
 func (h *Hierarchy) Restore(s *HierarchyState) {
-	if len(s.l1) != len(h.l1) {
+	if len(s.l1) != len(h.l1) || len(s.lastPos) != len(h.lastPos) {
 		panic("cache: Restore core-count mismatch")
 	}
 	for i, c := range h.l1 {

@@ -498,7 +498,7 @@ func (p *proxyConn) dispatchRelay(op serve.Op, id uint32, payload []byte) bool {
 		p.r.met.LocalErrs.Add(1)
 		return p.respondErr(id, serve.ErrExists, "serve: connection already holds a session")
 	case serve.OpBatch:
-		if batchHasSessionOp(payload) {
+		if serve.BatchHasSessionOp(payload) {
 			p.r.met.LocalErrs.Add(1)
 			return p.respondErr(id, serve.ErrBadFrame,
 				"cluster: OPEN/CLOSE inside a batch cannot be routed; send them as scalar frames")
@@ -576,34 +576,6 @@ func (p *proxyConn) respondErr(id uint32, code serve.ErrCode, msg string) bool {
 func (p *proxyConn) respondWireErr(id uint32, werr *serve.WireError) bool {
 	p.r.met.LocalErrs.Add(1)
 	return p.respondErr(id, werr.Code, werr.Msg)
-}
-
-// batchHasSessionOp scans a BATCH payload for entries that would change
-// which backend owns the connection (OPEN, CLOSE) or renegotiate the
-// protocol (HELLO). Malformed containers report false — the backend's
-// parser is the authority on rejecting those.
-func batchHasSessionOp(payload []byte) bool {
-	if len(payload) < 7 {
-		return false
-	}
-	count := int(binary.BigEndian.Uint16(payload[5:7]))
-	off := 7
-	for i := 0; i < count; i++ {
-		if off+4 > len(payload) {
-			return false
-		}
-		n := int(binary.BigEndian.Uint32(payload[off:]))
-		off += 4
-		if n < 1 || off+n > len(payload) {
-			return false
-		}
-		switch serve.Op(payload[off]) {
-		case serve.OpHello, serve.OpOpen, serve.OpClose:
-			return true
-		}
-		off += n
-	}
-	return false
 }
 
 // IsUnavailable reports whether err is the cluster tier's typed

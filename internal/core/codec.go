@@ -2,16 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"domainvirt/internal/bincodec"
-	"domainvirt/internal/memlayout"
-	"domainvirt/internal/mpk"
 )
 
-// Engine-state type tags for the binary snapshot codec. Every snapshot
-// returned by a Snapshotter is one of five concrete state structs; the
-// tag selects the decoder.
+// Engine-state type tags for the binary snapshot codec. Every
+// EngineState holds one of five concrete state structs; the tag names it.
 const (
 	tagBaseState uint8 = iota + 1
 	tagMPKState
@@ -23,409 +19,47 @@ const (
 // ErrEngineState marks an engine-state payload the codec cannot decode.
 var ErrEngineState = fmt.Errorf("core: unknown engine state")
 
-// AppendTo appends the deterministic binary form of the table: the
-// attached (domain, region) pairs in ascending domain order. The radix
-// structure is not serialized — Insert rebuilds it canonically.
-func (t *DomainTable) AppendTo(b []byte) []byte {
-	doms := make([]DomainID, 0, len(t.regions))
-	for d := range t.regions {
-		doms = append(doms, d)
-	}
-	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
-	b = bincodec.U32(b, uint32(len(doms)))
-	for _, d := range doms {
-		r := t.regions[d]
-		b = bincodec.U32(b, uint32(d))
-		b = bincodec.U64(b, uint64(r.Base))
-		b = bincodec.U64(b, r.Size)
-	}
-	return b
-}
+// AppendTo appends the table's binary form: the attached regions by
+// domain, in ascending domain order. The radix tree is not written —
+// DecodeFrom rebuilds it.
+func (t *DomainTable) AppendTo(b []byte) []byte { return bincodec.Append(b, &t.regions) }
 
-// DecodeDomainTable reads a DomainTable written by AppendTo, rebuilding
-// the radix tree through Insert so decoded tables are structurally
-// canonical.
-func DecodeDomainTable(r *bincodec.Reader) (*DomainTable, error) {
-	n := r.Count(4 + 8 + 8)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+// DecodeFrom reads a table written by AppendTo, rebuilding the radix tree
+// so a decoded table is structurally canonical. A set of regions that
+// Insert would refuse fails in any insertion order.
+func (t *DomainTable) DecodeFrom(r *bincodec.Reader) error {
+	if err := bincodec.Decode(r, &t.regions); err != nil {
+		return err
 	}
-	t := NewDomainTable()
-	for i := 0; i < n; i++ {
-		d := DomainID(r.U32())
-		reg := memlayout.Region{Base: memlayout.VA(r.U64()), Size: r.U64()}
-		if r.Err() != nil {
-			break
-		}
-		if err := t.Insert(d, reg); err != nil {
-			return nil, fmt.Errorf("core: decode domain table: %w", err)
+	t.root = &dtNode{}
+	for d, reg := range t.regions {
+		if err := t.place(d, reg); err != nil {
+			return fmt.Errorf("core: decode domain table: %w", err)
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return t, nil
+	return nil
 }
 
-func appendPLRU(b []byte, s PLRUState) []byte {
-	b = bincodec.U64(b, s.Bits)
-	b = bincodec.U32(b, uint32(len(s.Big)))
-	for _, v := range s.Big {
-		b = bincodec.Bool(b, v)
-	}
-	return b
-}
+// AppendTo appends the tag, then the state struct it names as the walker
+// derives it.
+func (s *EngineState) AppendTo(b []byte) []byte { return bincodec.Append(append(b, s.tag), s.st) }
 
-func decodePLRU(r *bincodec.Reader) PLRUState {
-	s := PLRUState{Bits: r.U64()}
-	if n := r.Count(1); n > 0 {
-		s.Big = make([]bool, n)
-		for i := range s.Big {
-			s.Big[i] = r.Bool()
-		}
-	}
-	return s
-}
-
-func sortedDomains[V any](m map[DomainID]V) []DomainID {
-	ks := make([]DomainID, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedThreads[V any](m map[ThreadID]V) []ThreadID {
-	ks := make([]ThreadID, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func appendDomainKeyMap(b []byte, m map[DomainID]uint8) []byte {
-	ks := sortedDomains(m)
-	b = bincodec.U32(b, uint32(len(ks)))
-	for _, k := range ks {
-		b = bincodec.U32(b, uint32(k))
-		b = bincodec.U8(b, m[k])
-	}
-	return b
-}
-
-func decodeDomainKeyMap(r *bincodec.Reader) map[DomainID]uint8 {
-	n := r.Count(5)
-	m := make(map[DomainID]uint8, n)
-	for i := 0; i < n; i++ {
-		d := DomainID(r.U32())
-		m[d] = r.U8()
-	}
-	return m
-}
-
-func appendPKRUMap(b []byte, m map[ThreadID]mpk.PKRU) []byte {
-	ks := sortedThreads(m)
-	b = bincodec.U32(b, uint32(len(ks)))
-	for _, k := range ks {
-		b = bincodec.U32(b, uint32(k))
-		b = bincodec.U32(b, uint32(m[k]))
-	}
-	return b
-}
-
-func decodePKRUMap(r *bincodec.Reader) map[ThreadID]mpk.PKRU {
-	n := r.Count(8)
-	m := make(map[ThreadID]mpk.PKRU, n)
-	for i := 0; i < n; i++ {
-		th := ThreadID(r.U32())
-		m[th] = mpk.PKRU(r.U32())
-	}
-	return m
-}
-
-func appendPermMap(b []byte, m map[ThreadID]Perm) []byte {
-	ks := sortedThreads(m)
-	b = bincodec.U32(b, uint32(len(ks)))
-	for _, k := range ks {
-		b = bincodec.U32(b, uint32(k))
-		b = bincodec.U8(b, uint8(m[k]))
-	}
-	return b
-}
-
-func decodePermMap(r *bincodec.Reader) map[ThreadID]Perm {
-	n := r.Count(5)
-	m := make(map[ThreadID]Perm, n)
-	for i := 0; i < n; i++ {
-		th := ThreadID(r.U32())
-		m[th] = Perm(r.U8())
-	}
-	return m
-}
-
-func appendPKRUSlice(b []byte, s []mpk.PKRU) []byte {
-	b = bincodec.U32(b, uint32(len(s)))
-	for _, v := range s {
-		b = bincodec.U32(b, uint32(v))
-	}
-	return b
-}
-
-func decodePKRUSlice(r *bincodec.Reader) []mpk.PKRU {
-	n := r.Count(4)
-	s := make([]mpk.PKRU, n)
-	for i := range s {
-		s[i] = mpk.PKRU(r.U32())
-	}
-	return s
-}
-
-func appendThreadSlice(b []byte, s []ThreadID) []byte {
-	b = bincodec.U32(b, uint32(len(s)))
-	for _, v := range s {
-		b = bincodec.U32(b, uint32(v))
-	}
-	return b
-}
-
-func decodeThreadSlice(r *bincodec.Reader) []ThreadID {
-	n := r.Count(4)
-	s := make([]ThreadID, n)
-	for i := range s {
-		s[i] = ThreadID(r.U32())
-	}
-	return s
-}
-
-// AppendEngineState appends the deterministic binary form of an engine
-// snapshot produced by Snapshotter.SnapshotState.
-func AppendEngineState(b []byte, st any) ([]byte, error) {
-	switch s := st.(type) {
-	case *baseState:
-		b = bincodec.U8(b, tagBaseState)
-		b = s.table.AppendTo(b)
-	case *mpkState:
-		b = bincodec.U8(b, tagMPKState)
-		b = bincodec.U16(b, s.alloc)
-		b = appendDomainKeyMap(b, s.keyOf)
-		b = appendPKRUSlice(b, s.pkruCore)
-		b = appendPKRUMap(b, s.pkruSaved)
-		b = appendThreadSlice(b, s.current)
-		b = s.table.AppendTo(b)
-	case *libmpkState:
-		b = bincodec.U8(b, tagLibmpkState)
-		b = appendDomainKeyMap(b, s.keyOf)
-		for _, d := range s.ownerOf {
-			b = bincodec.U32(b, uint32(d))
-		}
-		b = bincodec.U16(b, s.alloc)
-		for _, v := range s.lruStamp {
-			b = bincodec.U64(b, v)
-		}
-		b = bincodec.U64(b, s.clock)
-		ths := sortedThreads(s.perms)
-		b = bincodec.U32(b, uint32(len(ths)))
-		for _, th := range ths {
-			b = bincodec.U32(b, uint32(th))
-			dm := s.perms[th]
-			ds := sortedDomains(dm)
-			b = bincodec.U32(b, uint32(len(ds)))
-			for _, d := range ds {
-				b = bincodec.U32(b, uint32(d))
-				b = bincodec.U8(b, uint8(dm[d]))
-			}
-		}
-		b = appendPKRUSlice(b, s.pkruCore)
-		b = appendPKRUMap(b, s.pkruSaved)
-		b = appendThreadSlice(b, s.current)
-		b = s.table.AppendTo(b)
-	case *mpkvirtState:
-		b = bincodec.U8(b, tagMPKVirtState)
-		ds := sortedDomains(s.entries)
-		b = bincodec.U32(b, uint32(len(ds)))
-		for _, d := range ds {
-			ent := s.entries[d]
-			b = bincodec.U32(b, uint32(d))
-			b = bincodec.U64(b, uint64(ent.region.Base))
-			b = bincodec.U64(b, ent.region.Size)
-			b = bincodec.U8(b, ent.key)
-			b = bincodec.Bool(b, ent.hasKey)
-			b = appendPermMap(b, ent.perms)
-		}
-		for _, d := range s.ownerOf {
-			b = bincodec.U32(b, uint32(d))
-		}
-		b = appendPLRU(b, s.keyPLRU)
-		b = bincodec.U32(b, uint32(len(s.dttlbs)))
-		for _, t := range s.dttlbs {
-			b = bincodec.U32(b, uint32(len(t.slots)))
-			for _, d := range t.slots {
-				b = bincodec.U32(b, uint32(d))
-			}
-			for _, v := range t.dirty {
-				b = bincodec.Bool(b, v)
-			}
-			b = appendPLRU(b, t.plru)
-		}
-		b = appendPKRUSlice(b, s.pkruCore)
-		b = appendPKRUMap(b, s.pkruSaved)
-		b = appendThreadSlice(b, s.current)
-		b = s.table.AppendTo(b)
-	case *domvirtState:
-		b = bincodec.U8(b, tagDomVirtState)
-		ds := sortedDomains(s.pt)
-		b = bincodec.U32(b, uint32(len(ds)))
-		for _, d := range ds {
-			b = bincodec.U32(b, uint32(d))
-			b = appendPermMap(b, s.pt[d])
-		}
-		b = bincodec.U32(b, uint32(len(s.ptlbs)))
-		for _, t := range s.ptlbs {
-			b = bincodec.U32(b, uint32(len(t.ents)))
-			for _, e := range t.ents {
-				b = bincodec.U32(b, uint32(e.domain))
-				b = bincodec.U8(b, uint8(e.perm))
-				b = bincodec.Bool(b, e.valid)
-				b = bincodec.Bool(b, e.dirty)
-			}
-			b = appendPLRU(b, t.plru)
-		}
-		b = appendThreadSlice(b, s.current)
-		b = s.table.AppendTo(b)
-	default:
-		return b, fmt.Errorf("%w: %T", ErrEngineState, st)
-	}
-	return b, nil
-}
-
-// DecodeEngineState reads an engine state written by AppendEngineState.
-// The result satisfies the RestoreState contract of the engine type the
-// tag names.
-func DecodeEngineState(r *bincodec.Reader) (any, error) {
-	tag := r.U8()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	var st any
-	var err error
-	switch tag {
+// DecodeFrom reads an engine state written by AppendTo. The result
+// satisfies the RestoreState contract of the engine type the tag names.
+func (s *EngineState) DecodeFrom(r *bincodec.Reader) error {
+	switch s.tag = r.U8(); s.tag {
 	case tagBaseState:
-		s := &baseState{}
-		s.table, err = DecodeDomainTable(r)
-		st = s
+		s.st = &baseState{}
 	case tagMPKState:
-		s := &mpkState{}
-		s.alloc = r.U16()
-		s.keyOf = decodeDomainKeyMap(r)
-		s.pkruCore = decodePKRUSlice(r)
-		s.pkruSaved = decodePKRUMap(r)
-		s.current = decodeThreadSlice(r)
-		s.table, err = DecodeDomainTable(r)
-		st = s
+		s.st = &mpkState{}
 	case tagLibmpkState:
-		s := &libmpkState{}
-		s.keyOf = decodeDomainKeyMap(r)
-		for i := range s.ownerOf {
-			s.ownerOf[i] = DomainID(r.U32())
-		}
-		s.alloc = r.U16()
-		for i := range s.lruStamp {
-			s.lruStamp[i] = r.U64()
-		}
-		s.clock = r.U64()
-		nth := r.Count(8)
-		s.perms = make(map[ThreadID]map[DomainID]Perm, nth)
-		for i := 0; i < nth; i++ {
-			th := ThreadID(r.U32())
-			nd := r.Count(5)
-			dm := make(map[DomainID]Perm, nd)
-			for j := 0; j < nd; j++ {
-				d := DomainID(r.U32())
-				dm[d] = Perm(r.U8())
-			}
-			s.perms[th] = dm
-		}
-		s.pkruCore = decodePKRUSlice(r)
-		s.pkruSaved = decodePKRUMap(r)
-		s.current = decodeThreadSlice(r)
-		s.table, err = DecodeDomainTable(r)
-		st = s
+		s.st = &libmpkState{}
 	case tagMPKVirtState:
-		s := &mpkvirtState{}
-		nd := r.Count(23)
-		s.entries = make(map[DomainID]dttEntrySnap, nd)
-		for i := 0; i < nd; i++ {
-			d := DomainID(r.U32())
-			ent := dttEntrySnap{
-				region: memlayout.Region{Base: memlayout.VA(r.U64()), Size: r.U64()},
-				key:    r.U8(),
-				hasKey: r.Bool(),
-				perms:  decodePermMap(r),
-			}
-			s.entries[d] = ent
-		}
-		for i := range s.ownerOf {
-			s.ownerOf[i] = DomainID(r.U32())
-		}
-		s.keyPLRU = decodePLRU(r)
-		ntlb := r.Count(12)
-		s.dttlbs = make([]dttlbSnap, ntlb)
-		for i := range s.dttlbs {
-			nslots := r.Count(5)
-			t := dttlbSnap{
-				slots: make([]DomainID, nslots),
-				dirty: make([]bool, nslots),
-			}
-			for j := range t.slots {
-				t.slots[j] = DomainID(r.U32())
-			}
-			for j := range t.dirty {
-				t.dirty[j] = r.Bool()
-			}
-			t.plru = decodePLRU(r)
-			s.dttlbs[i] = t
-		}
-		s.pkruCore = decodePKRUSlice(r)
-		s.pkruSaved = decodePKRUMap(r)
-		s.current = decodeThreadSlice(r)
-		s.table, err = DecodeDomainTable(r)
-		st = s
+		s.st = &mpkvirtState{}
 	case tagDomVirtState:
-		s := &domvirtState{}
-		nd := r.Count(8)
-		s.pt = make(map[DomainID]map[ThreadID]Perm, nd)
-		for i := 0; i < nd; i++ {
-			d := DomainID(r.U32())
-			s.pt[d] = decodePermMap(r)
-		}
-		ntlb := r.Count(12)
-		s.ptlbs = make([]ptlbSnap, ntlb)
-		for i := range s.ptlbs {
-			nents := r.Count(7)
-			t := ptlbSnap{ents: make([]ptlbEntry, nents)}
-			for j := range t.ents {
-				e := &t.ents[j]
-				e.domain = DomainID(r.U32())
-				e.perm = Perm(r.U8())
-				e.valid = r.Bool()
-				e.dirty = r.Bool()
-			}
-			t.plru = decodePLRU(r)
-			s.ptlbs[i] = t
-		}
-		s.current = decodeThreadSlice(r)
-		s.table, err = DecodeDomainTable(r)
-		st = s
+		s.st = &domvirtState{}
 	default:
-		return nil, fmt.Errorf("%w: tag %d", ErrEngineState, tag)
+		return fmt.Errorf("%w: tag %d", ErrEngineState, s.tag)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return st, nil
+	return bincodec.Decode(r, s.st)
 }

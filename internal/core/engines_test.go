@@ -446,3 +446,30 @@ func TestProtectionEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestMPKVirtRestoreRejectsShortDirtyBits: on disk a DTTLB's slots and
+// dirty bits carry separate counts, so a decoded snapshot can pair full
+// slots with short dirty bits. RestoreState must refuse it rather than
+// keep stale dirty bits behind the short copy.
+func TestMPKVirtRestoreRejectsShortDirtyBits(t *testing.T) {
+	e := NewMPKVirt(DefaultCosts(), 2, 16)
+	bindEngine(t, e, 2)
+	for i := 0; i < 4; i++ {
+		if err := e.Attach(DomainID(i+1), regionFor(i)); err != nil {
+			t.Fatal(err)
+		}
+		e.SetPerm(0, 1, DomainID(i+1), PermRW)
+		access(e, 0, 1, regionFor(i).Base, true)
+	}
+	st := e.SnapshotState()
+	s := st.st.(*mpkvirtState)
+	s.dttlbs[0].dirty = s.dttlbs[0].dirty[:3]
+	defer func() {
+		if recover() == nil {
+			t.Error("RestoreState accepted a short dirty-bit slice")
+		}
+	}()
+	fresh := NewMPKVirt(DefaultCosts(), 2, 16)
+	bindEngine(t, fresh, 2)
+	fresh.RestoreState(st)
+}

@@ -38,6 +38,18 @@ func NewDomainTable() *DomainTable {
 // Insert registers domain d over region r. The region base must be
 // aligned to the attach-level granularity and the slots must be free.
 func (t *DomainTable) Insert(d DomainID, r memlayout.Region) error {
+	if _, ok := t.regions[d]; ok {
+		return fmt.Errorf("core: domain %d already attached", d)
+	}
+	if err := t.place(d, r); err != nil {
+		return err
+	}
+	t.regions[d] = r
+	return nil
+}
+
+// place writes d's entries for r into the radix tree.
+func (t *DomainTable) place(d DomainID, r memlayout.Region) error {
 	if d == NullDomain {
 		return fmt.Errorf("core: cannot insert the null domain")
 	}
@@ -45,9 +57,6 @@ func (t *DomainTable) Insert(d DomainID, r memlayout.Region) error {
 	gran := memlayout.LevelSize(lvl)
 	if !memlayout.IsAligned(uint64(r.Base), gran) {
 		return fmt.Errorf("core: region %s not aligned to level-%d granularity %#x", r, lvl, gran)
-	}
-	if _, ok := t.regions[d]; ok {
-		return fmt.Errorf("core: domain %d already attached", d)
 	}
 	n := t.root
 	for l := memlayout.NumLevels - 1; l > lvl; l-- {
@@ -74,7 +83,6 @@ func (t *DomainTable) Insert(d DomainID, r memlayout.Region) error {
 	for i := i0; i < i0+slots; i++ {
 		n.domain[i] = d
 	}
-	t.regions[d] = r
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"domainvirt/internal/memlayout"
 	"domainvirt/internal/mpk"
 )
@@ -16,42 +18,32 @@ import (
 // RestoreState never touches the Bind-time plumbing (hooks, breakdown,
 // counter, and event-sink pointers stay with the receiving engine).
 type Snapshotter interface {
-	SnapshotState() any
-	RestoreState(st any)
+	SnapshotState() EngineState
+	RestoreState(st EngineState)
 }
 
-func copyDomainKeyMap(m map[DomainID]uint8) map[DomainID]uint8 {
-	c := make(map[DomainID]uint8, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+// EngineState is one engine's snapshot: a tag and a pointer to the state
+// struct it names, one of the five below, opaque outside this package.
+// Its AppendTo and DecodeFrom (codec.go) are the snapshot codec's hook
+// for the one field of a machine snapshot whose type varies with the
+// scheme.
+type EngineState struct {
+	tag uint8
+	st  any
 }
 
-func copyPKRUMap(m map[ThreadID]mpk.PKRU) map[ThreadID]mpk.PKRU {
-	c := make(map[ThreadID]mpk.PKRU, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func copyPermMap(m map[ThreadID]Perm) map[ThreadID]Perm {
-	c := make(map[ThreadID]Perm, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
+// copyMap returns a copy of m that is never nil: a decoded snapshot's
+// empty maps are, and a restored engine writes into its maps.
+func copyMap[K comparable, V any](m map[K]V) map[K]V {
+	c := make(map[K]V, len(m))
+	maps.Copy(c, m)
 	return c
 }
 
 func copyThreadPermTable(m map[ThreadID]map[DomainID]Perm) map[ThreadID]map[DomainID]Perm {
 	c := make(map[ThreadID]map[DomainID]Perm, len(m))
 	for th, dm := range m {
-		inner := make(map[DomainID]Perm, len(dm))
-		for d, p := range dm {
-			inner[d] = p
-		}
-		c[th] = inner
+		c[th] = copyMap(dm)
 	}
 	return c
 }
@@ -62,16 +54,20 @@ type baseState struct {
 }
 
 // SnapshotState implements Snapshotter.
-func (e *Baseline) SnapshotState() any { return &baseState{table: e.table.Clone()} }
+func (e *Baseline) SnapshotState() EngineState {
+	return EngineState{tagBaseState, &baseState{table: e.table.Clone()}}
+}
 
 // RestoreState implements Snapshotter.
-func (e *Baseline) RestoreState(st any) { e.table = st.(*baseState).table.Clone() }
+func (e *Baseline) RestoreState(st EngineState) { e.table = st.st.(*baseState).table.Clone() }
 
 // SnapshotState implements Snapshotter.
-func (e *Lowerbound) SnapshotState() any { return &baseState{table: e.table.Clone()} }
+func (e *Lowerbound) SnapshotState() EngineState {
+	return EngineState{tagBaseState, &baseState{table: e.table.Clone()}}
+}
 
 // RestoreState implements Snapshotter.
-func (e *Lowerbound) RestoreState(st any) { e.table = st.(*baseState).table.Clone() }
+func (e *Lowerbound) RestoreState(st EngineState) { e.table = st.st.(*baseState).table.Clone() }
 
 // mpkState is the default-MPK engine state.
 type mpkState struct {
@@ -84,27 +80,27 @@ type mpkState struct {
 }
 
 // SnapshotState implements Snapshotter.
-func (e *MPK) SnapshotState() any {
-	return &mpkState{
+func (e *MPK) SnapshotState() EngineState {
+	return EngineState{tagMPKState, &mpkState{
 		alloc:     e.alloc.State(),
-		keyOf:     copyDomainKeyMap(e.keyOf),
+		keyOf:     copyMap(e.keyOf),
 		pkruCore:  append([]mpk.PKRU(nil), e.pkruCore...),
-		pkruSaved: copyPKRUMap(e.pkruSaved),
+		pkruSaved: copyMap(e.pkruSaved),
 		current:   append([]ThreadID(nil), e.current...),
 		table:     e.table.Clone(),
-	}
+	}}
 }
 
 // RestoreState implements Snapshotter.
-func (e *MPK) RestoreState(st any) {
-	s := st.(*mpkState)
-	if len(s.pkruCore) != len(e.pkruCore) {
+func (e *MPK) RestoreState(st EngineState) {
+	s := st.st.(*mpkState)
+	if len(s.pkruCore) != len(e.pkruCore) || len(s.current) != len(e.current) {
 		panic("core: MPK RestoreState core-count mismatch")
 	}
 	e.alloc.SetState(s.alloc)
-	e.keyOf = copyDomainKeyMap(s.keyOf)
+	e.keyOf = copyMap(s.keyOf)
 	copy(e.pkruCore, s.pkruCore)
-	e.pkruSaved = copyPKRUMap(s.pkruSaved)
+	e.pkruSaved = copyMap(s.pkruSaved)
 	copy(e.current, s.current)
 	e.table = s.table.Clone()
 }
@@ -124,35 +120,35 @@ type libmpkState struct {
 }
 
 // SnapshotState implements Snapshotter.
-func (e *Libmpk) SnapshotState() any {
-	return &libmpkState{
-		keyOf:     copyDomainKeyMap(e.keyOf),
+func (e *Libmpk) SnapshotState() EngineState {
+	return EngineState{tagLibmpkState, &libmpkState{
+		keyOf:     copyMap(e.keyOf),
 		ownerOf:   e.ownerOf,
 		alloc:     e.alloc.State(),
 		lruStamp:  e.lruStamp,
 		clock:     e.clock,
 		perms:     copyThreadPermTable(e.perms),
 		pkruCore:  append([]mpk.PKRU(nil), e.pkruCore...),
-		pkruSaved: copyPKRUMap(e.pkruSaved),
+		pkruSaved: copyMap(e.pkruSaved),
 		current:   append([]ThreadID(nil), e.current...),
 		table:     e.table.Clone(),
-	}
+	}}
 }
 
 // RestoreState implements Snapshotter.
-func (e *Libmpk) RestoreState(st any) {
-	s := st.(*libmpkState)
-	if len(s.pkruCore) != len(e.pkruCore) {
+func (e *Libmpk) RestoreState(st EngineState) {
+	s := st.st.(*libmpkState)
+	if len(s.pkruCore) != len(e.pkruCore) || len(s.current) != len(e.current) {
 		panic("core: Libmpk RestoreState core-count mismatch")
 	}
-	e.keyOf = copyDomainKeyMap(s.keyOf)
+	e.keyOf = copyMap(s.keyOf)
 	e.ownerOf = s.ownerOf
 	e.alloc.SetState(s.alloc)
 	e.lruStamp = s.lruStamp
 	e.clock = s.clock
 	e.perms = copyThreadPermTable(s.perms)
 	copy(e.pkruCore, s.pkruCore)
-	e.pkruSaved = copyPKRUMap(s.pkruSaved)
+	e.pkruSaved = copyMap(s.pkruSaved)
 	copy(e.current, s.current)
 	e.table = s.table.Clone()
 }
@@ -187,13 +183,13 @@ type dttlbSnap struct {
 }
 
 // SnapshotState implements Snapshotter.
-func (e *MPKVirt) SnapshotState() any {
+func (e *MPKVirt) SnapshotState() EngineState {
 	s := &mpkvirtState{
 		entries:   make(map[DomainID]dttEntrySnap, len(e.entries)),
 		keyPLRU:   e.keyPLRU.Save(),
 		dttlbs:    make([]dttlbSnap, len(e.dttlbs)),
 		pkruCore:  append([]mpk.PKRU(nil), e.pkruCore...),
-		pkruSaved: copyPKRUMap(e.pkruSaved),
+		pkruSaved: copyMap(e.pkruSaved),
 		current:   append([]ThreadID(nil), e.current...),
 		table:     e.table.Clone(),
 	}
@@ -202,7 +198,7 @@ func (e *MPKVirt) SnapshotState() any {
 			region: ent.region,
 			key:    ent.key,
 			hasKey: ent.hasKey,
-			perms:  copyPermMap(ent.perms),
+			perms:  copyMap(ent.perms),
 		}
 	}
 	for k, ent := range e.ownerOf {
@@ -223,13 +219,13 @@ func (e *MPKVirt) SnapshotState() any {
 		}
 		s.dttlbs[i] = ts
 	}
-	return s
+	return EngineState{tagMPKVirtState, s}
 }
 
 // RestoreState implements Snapshotter.
-func (e *MPKVirt) RestoreState(st any) {
-	s := st.(*mpkvirtState)
-	if len(s.dttlbs) != len(e.dttlbs) {
+func (e *MPKVirt) RestoreState(st EngineState) {
+	s := st.st.(*mpkvirtState)
+	if len(s.dttlbs) != len(e.dttlbs) || len(s.pkruCore) != len(e.pkruCore) || len(s.current) != len(e.current) {
 		panic("core: MPKVirt RestoreState core-count mismatch")
 	}
 	e.entries = make(map[DomainID]*dttEntry, len(s.entries))
@@ -239,7 +235,7 @@ func (e *MPKVirt) RestoreState(st any) {
 			region: snap.region,
 			key:    snap.key,
 			hasKey: snap.hasKey,
-			perms:  copyPermMap(snap.perms),
+			perms:  copyMap(snap.perms),
 		}
 	}
 	for k := range e.ownerOf {
@@ -252,7 +248,7 @@ func (e *MPKVirt) RestoreState(st any) {
 	e.keyPLRU.Load(s.keyPLRU)
 	for i, t := range e.dttlbs {
 		ts := s.dttlbs[i]
-		if len(ts.slots) != len(t.slots) {
+		if len(ts.slots) != len(t.slots) || len(ts.dirty) != len(ts.slots) {
 			panic("core: MPKVirt RestoreState DTTLB-size mismatch")
 		}
 		for j, d := range ts.slots {
@@ -266,7 +262,7 @@ func (e *MPKVirt) RestoreState(st any) {
 		t.plru.Load(ts.plru)
 	}
 	copy(e.pkruCore, s.pkruCore)
-	e.pkruSaved = copyPKRUMap(s.pkruSaved)
+	e.pkruSaved = copyMap(s.pkruSaved)
 	copy(e.current, s.current)
 	e.table = s.table.Clone()
 }
@@ -285,7 +281,7 @@ type ptlbSnap struct {
 }
 
 // SnapshotState implements Snapshotter.
-func (e *DomainVirt) SnapshotState() any {
+func (e *DomainVirt) SnapshotState() EngineState {
 	s := &domvirtState{
 		pt:      make(map[DomainID]map[ThreadID]Perm, len(e.pt)),
 		ptlbs:   make([]ptlbSnap, len(e.ptlbs)),
@@ -293,7 +289,7 @@ func (e *DomainVirt) SnapshotState() any {
 		table:   e.table.Clone(),
 	}
 	for d, m := range e.pt {
-		s.pt[d] = copyPermMap(m)
+		s.pt[d] = copyMap(m)
 	}
 	for i, t := range e.ptlbs {
 		s.ptlbs[i] = ptlbSnap{
@@ -301,18 +297,18 @@ func (e *DomainVirt) SnapshotState() any {
 			plru: t.plru.Save(),
 		}
 	}
-	return s
+	return EngineState{tagDomVirtState, s}
 }
 
 // RestoreState implements Snapshotter.
-func (e *DomainVirt) RestoreState(st any) {
-	s := st.(*domvirtState)
-	if len(s.ptlbs) != len(e.ptlbs) {
+func (e *DomainVirt) RestoreState(st EngineState) {
+	s := st.st.(*domvirtState)
+	if len(s.ptlbs) != len(e.ptlbs) || len(s.current) != len(e.current) {
 		panic("core: DomainVirt RestoreState core-count mismatch")
 	}
 	e.pt = make(map[DomainID]map[ThreadID]Perm, len(s.pt))
 	for d, m := range s.pt {
-		e.pt[d] = copyPermMap(m)
+		e.pt[d] = copyMap(m)
 	}
 	for i, t := range e.ptlbs {
 		if len(s.ptlbs[i].ents) != len(t.ents) {

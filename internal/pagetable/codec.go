@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"domainvirt/internal/bincodec"
@@ -36,20 +37,15 @@ func (t *Table) AppendTo(b []byte) []byte {
 			n++
 		}
 	})
-	b[countAt] = byte(n)
-	b[countAt+1] = byte(n >> 8)
-	b[countAt+2] = byte(n >> 16)
-	b[countAt+3] = byte(n >> 24)
+	binary.LittleEndian.PutUint32(b[countAt:], n)
 	return b
 }
 
-// DecodeTable reads a Table written by AppendTo.
-func DecodeTable(r *bincodec.Reader) (*Table, error) {
-	t := New()
+// DecodeFrom reads a table written by AppendTo into t, rebuilding the
+// leaves and their presence bitmaps.
+func (t *Table) DecodeFrom(r *bincodec.Reader) error {
+	*t = Table{root: new(pml4)}
 	n := r.Count(8 + 8 + 1 + 1)
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pagetable: %w", err)
-	}
 	for i := 0; i < n; i++ {
 		va := memlayout.VA(r.U64())
 		pfn := r.U64()
@@ -73,7 +69,7 @@ func DecodeTable(r *bincodec.Reader) (*Table, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pagetable: %w", err)
+		return fmt.Errorf("pagetable: %w", err)
 	}
-	return t, nil
+	return nil
 }

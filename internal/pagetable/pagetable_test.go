@@ -34,7 +34,7 @@ func TestMapWalkRoundTrip(t *testing.T) {
 
 func TestMapAgainstReference(t *testing.T) {
 	// A random sequence of Map, Unmap, Lookup, SetKey, Clone and an
-	// AppendTo/DecodeTable round trip must agree with a Go map, and
+	// AppendTo/DecodeFrom round trip must agree with a Go map, and
 	// ForEachPopulated must visit exactly the map's pages in a region, in
 	// ascending VA order, on the table, its clone and its decoded copy.
 	rng := rand.New(rand.NewSource(7))
@@ -131,8 +131,8 @@ func TestMapAgainstReference(t *testing.T) {
 			check(i, "clone", clone, randRegion())
 			pt = clone
 		default:
-			dec, err := DecodeTable(bincodec.NewReader(pt.AppendTo(nil)))
-			if err != nil {
+			dec := &Table{}
+			if err := dec.DecodeFrom(bincodec.NewReader(pt.AppendTo(nil))); err != nil {
 				t.Fatal(err)
 			}
 			check(i, "decoded copy", dec, randRegion())

@@ -336,6 +336,7 @@ func FuzzBatch(f *testing.F) {
 		{Op: OpClose, ID: 6},
 	}))
 	f.Add(append(AppendBatch(nil, 7, []*Request{{Op: OpStats, ID: 8}}), 0xFF))
+	f.Add(AppendBatch(nil, 9, []*Request{{Op: OpRead, ID: 10}, {Op: OpOpen, ID: 11, Name: "p", Size: 1 << 20}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		b := &Batch{}
 		drawn := 0
@@ -343,11 +344,25 @@ func FuzzBatch(f *testing.F) {
 		if drawn != len(b.Reqs) {
 			t.Fatalf("drew %d requests but tracked %d: pool leak", drawn, len(b.Reqs))
 		}
+		// The router's scan reads every payload, accepted or not.
+		scan := BatchHasSessionOp(payload)
 		if werr != nil {
 			return
 		}
 		if len(b.Reqs) == 0 || len(b.Reqs) > MaxBatch {
 			t.Fatalf("accepted batch with %d entries", len(b.Reqs))
+		}
+		openOrClose := false
+		for _, req := range b.Reqs {
+			switch req.Op {
+			case OpHello:
+				t.Fatal("accepted batch holds a HELLO")
+			case OpOpen, OpClose:
+				openOrClose = true
+			}
+		}
+		if scan != openOrClose {
+			t.Fatalf("BatchHasSessionOp = %v, but the parsed entries hold an OPEN or CLOSE: %v", scan, openOrClose)
 		}
 		// A valid container re-encodes and re-parses identically.
 		for _, req := range b.Reqs {

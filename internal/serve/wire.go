@@ -457,6 +457,28 @@ func parseBatchInto(b *Batch, payload []byte, getReq func() *Request) *WireError
 	return nil
 }
 
+// BatchHasSessionOp reports whether a BATCH payload carries a
+// sub-request that would change which backend owns the connection (OPEN,
+// CLOSE) or renegotiate the protocol (HELLO). It reads only the
+// container's framing and each entry's op byte, so a router can answer
+// without parsing the entries. A malformed container reports false —
+// parseBatchInto is the authority on rejecting those; on every payload
+// it accepts, the answer is whether some entry is an OPEN or a CLOSE.
+func BatchHasSessionOp(payload []byte) bool {
+	r := wreader{b: payload, off: minPayload}
+	for count := r.u16(); count > 0; count-- {
+		sub := r.bytes(int(r.u32()))
+		if r.bad || len(sub) == 0 {
+			return false
+		}
+		switch Op(sub[0]) {
+		case OpHello, OpOpen, OpClose:
+			return true
+		}
+	}
+	return false
+}
+
 // AppendBatch appends one BATCH payload carrying reqs (append-style, as
 // appendRequest). The caller assigns sub-request IDs.
 func AppendBatch(dst []byte, id uint32, reqs []*Request) []byte {

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -54,6 +56,35 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				t.Errorf("decoded fork diverged:\n got: %+v\nwant: %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestSnapshotCodecGolden pins the snapshot format, which bincodec
+// derives from the Snapshot struct and the state structs it holds: the
+// hash of each scheme's encoding is checked in. Encoding builds the plan
+// of Snapshot, so a field the walker cannot encode panics here too. A
+// changed hash means a changed format: bump SnapshotCodecVersion, so
+// stores holding the old format miss instead of misdecoding, and re-pin.
+func TestSnapshotCodecGolden(t *testing.T) {
+	want := map[sim.Scheme]string{
+		sim.SchemeBaseline:   "720626e1bfef87d2eee0b467cc0f6bc5d543b421892777c8e06bf3a357a171ea",
+		sim.SchemeLowerbound: "f853d24c2999292807f904fe328912fcd5b47ab743badd520ed3df4d4b848700",
+		sim.SchemeMPK:        "035dd197eb4518cb720e34939b1a1846aee37005f2f1f592d5b40062f6b7a1a0",
+		sim.SchemeLibmpk:     "af25e296bfaf9d605734bbcab918434cc9014aeeaa3e3c383665a93bc333448c",
+		sim.SchemeMPKVirt:    "9faa8f777cf08a7f6d0672a8ec9d2c944f385f241b2d3a43a495e64008f64e4b",
+		sim.SchemeDomainVirt: "012702d08b24d7ec82eed47f777b9f389ac37e1b4dab5f3082a1804a21ffc91d",
+	}
+	for _, s := range sim.AllSchemes {
+		snap, _, _ := codecSnapshot(t, s)
+		data, err := sim.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want[s] {
+			t.Errorf("%s: snapshot encoding hashes to %s, pinned %s: the format changed; "+
+				"bump sim.SnapshotCodecVersion (now %d) and re-pin", s, got, want[s], sim.SnapshotCodecVersion)
+		}
 	}
 }
 

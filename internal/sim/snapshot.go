@@ -47,7 +47,7 @@ type Snapshot struct {
 	memst  mem.State
 	caches *cache.HierarchyState
 	cores  []coreSnap
-	eng    any
+	eng    core.EngineState
 
 	recNext  uint64
 	hasRec   bool

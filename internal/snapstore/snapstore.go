@@ -24,8 +24,14 @@ import (
 	"strings"
 )
 
-// ErrMiss reports a key with no stored snapshot.
-var ErrMiss = errors.New("snapstore: miss")
+// Errors. A key that fails the key rule is a miss for Get and Has.
+var (
+	// ErrMiss reports a key with no stored snapshot.
+	ErrMiss = errors.New("snapstore: miss")
+	// ErrKey reports a key outside the key rule: non-empty, and only
+	// [0-9A-Za-z_-].
+	ErrKey = errors.New("snapstore: invalid key")
+)
 
 // ext is the snapshot file suffix.
 const ext = ".pmosnap"
@@ -51,14 +57,33 @@ func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, key+ext)
 }
 
+// validKey reports whether key follows the key rule, which keeps every
+// key's file inside the store directory. Keys reach the store from the
+// network — a sweep worker names the snapshot it needs — so every method
+// that opens a key's file checks it.
+func validKey(key string) bool {
+	for _, c := range []byte(key) {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return key != ""
+}
+
 // Has reports whether a snapshot file exists for key.
 func (s *Store) Has(key string) bool {
+	if !validKey(key) {
+		return false
+	}
 	_, err := os.Stat(s.Path(key))
 	return err == nil
 }
 
 // Get returns the stored bytes for key, or ErrMiss.
 func (s *Store) Get(key string) ([]byte, error) {
+	if !validKey(key) {
+		return nil, fmt.Errorf("%w: %w: %q", ErrMiss, ErrKey, key)
+	}
 	data, err := os.ReadFile(s.Path(key))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -73,6 +98,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 // process or another sharing the directory — sees the previous contents
 // or the new contents, never a prefix.
 func (s *Store) Put(key string, data []byte) error {
+	if !validKey(key) {
+		return fmt.Errorf("%w: %q", ErrKey, key)
+	}
 	tmp, err := os.CreateTemp(s.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snapstore: %w", err)
@@ -95,6 +123,9 @@ func (s *Store) Put(key string, data []byte) error {
 // weight until its writer is fixed; callers drop it before rebuilding).
 // Missing files are not an error.
 func (s *Store) Delete(key string) error {
+	if !validKey(key) {
+		return fmt.Errorf("%w: %q", ErrKey, key)
+	}
 	if err := os.Remove(s.Path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("snapstore: %w", err)
 	}

@@ -162,3 +162,43 @@ func TestStoreConcurrentWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreRejectsKeysOutsideDir: keys reach the store from the network
+// (a sweep worker's NEEDSNAP names one), so no key may read, find,
+// write or delete a file outside the store directory. The store sits
+// next to a sibling snapshot file that a path-shaped key would reach.
+func TestStoreRejectsKeysOutsideDir(t *testing.T) {
+	root := t.TempDir()
+	s, err := Open(filepath.Join(root, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "outside"+ext)
+	if err := os.WriteFile(outside, []byte("not the store's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"../outside", "a/b", `a\b`, ".", "..", "", "../evil"} {
+		if s.Has(key) {
+			t.Errorf("Has(%q) = true", key)
+		}
+		if data, err := s.Get(key); !errors.Is(err, ErrMiss) {
+			t.Errorf("Get(%q) = %q, %v; want ErrMiss", key, data, err)
+		}
+		if err := s.Put(key, []byte("x")); !errors.Is(err, ErrKey) {
+			t.Errorf("Put(%q) = %v, want ErrKey", key, err)
+		}
+		if err := s.Delete(key); !errors.Is(err, ErrKey) {
+			t.Errorf("Delete(%q) = %v, want ErrKey", key, err)
+		}
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Errorf("sibling file gone: %v", err)
+	}
+	ents, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("root holds %d entries, want the store and the sibling", len(ents))
+	}
+}

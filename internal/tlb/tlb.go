@@ -303,7 +303,7 @@ func (t *TLB) SnapshotInto(s *State) {
 // reusing the receiver's storage, and rebuilds the block counts from the
 // restored entries. It panics on a geometry mismatch.
 func (t *TLB) Restore(s State) {
-	if len(s.entries) != len(t.entries) {
+	if len(s.entries) != len(t.entries) || len(s.lru) != len(s.entries) {
 		panic("tlb: Restore geometry mismatch")
 	}
 	copy(t.entries, s.entries)

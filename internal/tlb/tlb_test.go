@@ -278,3 +278,22 @@ func TestBlockCountsAgainstScan(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsShortRecencyState: on disk a snapshot's entries and
+// recency stamps carry separate counts, so a decoded snapshot can pair
+// full entries with short stamps. Restore must refuse it rather than
+// keep stale stamps behind the short copy.
+func TestRestoreRejectsShortRecencyState(t *testing.T) {
+	tl := New(Config{Entries: 64, Ways: 4})
+	for vpn := uint64(0); vpn < 100; vpn++ {
+		tl.Insert(Entry{VPN: vpn, PFN: vpn + 1, Valid: true})
+	}
+	s := tl.Snapshot()
+	s.lru = s.lru[:len(s.lru)/2]
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore accepted a short recency-stamp slice")
+		}
+	}()
+	New(Config{Entries: 64, Ways: 4}).Restore(s)
+}

@@ -55,6 +55,9 @@ go test -fuzz FuzzDecodeSnapshot -fuzztime 5s -run '^$' ./internal/sim/
 # And of the sweep frame decoders, the readers of every frame a
 # pmoworker and its coordinator exchange over the network.
 go test -fuzz FuzzFrames -fuzztime 5s -run '^$' ./internal/sweep/
+# And of serve's BATCH container parser, differentially against the
+# router's own scan of the same container.
+go test -fuzz FuzzBatch -fuzztime 5s -run '^$' ./internal/serve/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
