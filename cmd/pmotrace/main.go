@@ -213,7 +213,6 @@ func replayScheme(files []string, scheme string, cfg domainvirt.Config, in, obsO
 	}
 	agg := stats.Result{Scheme: scheme}
 	var events uint64
-	var cores int
 	for i, path := range files {
 		m := domainvirt.NewMachine(cfg, domainvirt.Scheme(scheme))
 		if rec != nil {
@@ -228,26 +227,9 @@ func replayScheme(files []string, scheme string, cfg domainvirt.Config, in, obsO
 		agg.WorkSum += res.WorkSum
 		agg.Breakdown.Merge(&res.Breakdown)
 		agg.Counters.Merge(&res.Counters)
-		cores = m.NumCores()
 	}
 	if rec != nil {
-		name := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
-		rec.SetManifest(obs.Manifest{
-			Scheme:      scheme,
-			Workload:    "trace:" + name,
-			Ops:         int(events),
-			Cores:       cores,
-			Epoch:       rec.EpochLen(),
-			ConfigHash:  obs.ConfigHash(cfg),
-			ToolVersion: obs.ToolVersion,
-		})
-		paths, err := rec.ExportDir(obsOut, name+"-"+scheme)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range paths {
-			fmt.Printf("  wrote %s\n", p)
-		}
+		export(rec, scheme, cfg, in, obsOut, events)
 	}
 	return agg, events
 }
@@ -297,25 +279,31 @@ func replaySchemePartitioned(files []string, scheme string, cfg domainvirt.Confi
 	fmt.Printf("  partitioned replay: %d partition(s) across %d file(s), %d workers, all boundary checkpoints verified\n",
 		parts, len(files), workers)
 	if rec != nil {
-		name := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
-		rec.SetManifest(obs.Manifest{
-			Scheme:      scheme,
-			Workload:    "trace:" + name,
-			Ops:         int(events),
-			Cores:       cfg.Cores,
-			Epoch:       rec.EpochLen(),
-			ConfigHash:  obs.ConfigHash(cfg),
-			ToolVersion: obs.ToolVersion,
-		})
-		paths, err := rec.ExportDir(obsOut, name+"-"+scheme)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range paths {
-			fmt.Printf("  wrote %s\n", p)
-		}
+		export(rec, scheme, cfg, in, obsOut, events)
 	}
 	return agg, events
+}
+
+// export stamps rec's manifest for a replay of events events from in
+// and writes its export set into obsOut.
+func export(rec *obs.Recorder, scheme string, cfg domainvirt.Config, in, obsOut string, events uint64) {
+	name := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
+	rec.SetManifest(obs.Manifest{
+		Scheme:      scheme,
+		Workload:    "trace:" + name,
+		Ops:         int(events),
+		Cores:       cfg.Cores,
+		Epoch:       rec.EpochLen(),
+		ConfigHash:  obs.ConfigHash(cfg),
+		ToolVersion: obs.ToolVersion,
+	})
+	paths, err := rec.ExportDir(obsOut, name+"-"+scheme)
+	if err != nil {
+		fatal(err)
+	}
+	for _, p := range paths {
+		fmt.Printf("  wrote %s\n", p)
+	}
 }
 
 // inputs resolves -i: a file is itself; a directory yields its sorted

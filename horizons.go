@@ -133,7 +133,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		if op == resumeOp {
 			// Crossing the resume boundary: the Discard-replayed prefix
 			// ends here and the restored machine takes over.
-			sw.inner = c.m
+			sw.Sink = c.m
 			return
 		}
 		if op <= resumeOp {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"domainvirt/internal/core"
-	"domainvirt/internal/memlayout"
 )
 
 // Auditor is a pass-through Sink that checks the least-privilege
@@ -12,9 +11,10 @@ import (
 // permission windows are opened and closed in pairs, and "any time, at
 // most two PMOs are enabled" — more precisely, it records the maximum
 // number of concurrently write-enabled domains per thread and flags
-// windows still open at the end of the run.
+// windows still open at the end of the run. Every event passes on to
+// the embedded Sink.
 type Auditor struct {
-	next Sink
+	Sink
 
 	writable map[core.ThreadID]map[core.DomainID]bool
 	readable map[core.ThreadID]map[core.DomainID]bool
@@ -36,7 +36,7 @@ func NewAuditor(next Sink) *Auditor {
 		next = Discard{}
 	}
 	return &Auditor{
-		next:     next,
+		Sink:     next,
 		writable: make(map[core.ThreadID]map[core.DomainID]bool),
 		readable: make(map[core.ThreadID]map[core.DomainID]bool),
 	}
@@ -55,19 +55,6 @@ func (a *Auditor) set(m map[core.ThreadID]map[core.DomainID]bool, th core.Thread
 	}
 }
 
-// Instr implements Sink.
-func (a *Auditor) Instr(th core.ThreadID, n uint64) { a.next.Instr(th, n) }
-
-// Access implements Sink.
-func (a *Auditor) Access(th core.ThreadID, va memlayout.VA, size uint32, write bool) bool {
-	return a.next.Access(th, va, size, write)
-}
-
-// Fetch implements Sink.
-func (a *Auditor) Fetch(th core.ThreadID, va memlayout.VA) bool {
-	return a.next.Fetch(th, va)
-}
-
 // SetPerm implements Sink: tracks per-thread windows.
 func (a *Auditor) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site core.SiteID) {
 	a.Switches++
@@ -76,12 +63,7 @@ func (a *Auditor) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site c
 	if n := len(a.writable[th]); n > a.MaxWritable {
 		a.MaxWritable = n
 	}
-	a.next.SetPerm(th, d, p, site)
-}
-
-// Attach implements Sink.
-func (a *Auditor) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) error {
-	return a.next.Attach(d, r, perm)
+	a.Sink.SetPerm(th, d, p, site)
 }
 
 // Detach implements Sink: an open window on a detached domain is a
@@ -94,11 +76,8 @@ func (a *Auditor) Detach(d core.DomainID) {
 			delete(m, d)
 		}
 	}
-	a.next.Detach(d)
+	a.Sink.Detach(d)
 }
-
-// Fence implements Sink.
-func (a *Auditor) Fence(th core.ThreadID) { a.next.Fence(th) }
 
 // Finish flags windows left open at end of run and returns the findings.
 func (a *Auditor) Finish() []string {

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,8 +57,6 @@ type captureAttach struct {
 }
 
 type captureWindow struct {
-	th   core.ThreadID
-	d    core.DomainID
 	perm core.Perm
 	site core.SiteID
 }
@@ -78,11 +76,10 @@ type Capture struct {
 	opts CaptureOptions
 
 	mu       sync.Mutex
-	cur      []byte
+	enc      encoder // the current chunk
 	segBytes int64
 	seg      int
 	closed   bool
-	lastVA   map[core.ThreadID]memlayout.VA
 	attached map[core.DomainID]captureAttach
 	windows  map[core.ThreadID]map[core.DomainID]captureWindow
 
@@ -109,8 +106,7 @@ func NewCapture(opts CaptureOptions) *Capture {
 	}
 	c := &Capture{
 		opts:     opts,
-		cur:      make([]byte, 0, captureChunkSize),
-		lastVA:   make(map[core.ThreadID]memlayout.VA),
+		enc:      newEncoder(make([]byte, 0, captureChunkSize)),
 		attached: make(map[core.DomainID]captureAttach),
 		windows:  make(map[core.ThreadID]map[core.DomainID]captureWindow),
 		ch:       make(chan captureMsg, depth),
@@ -151,22 +147,18 @@ func (c *Capture) Stats() CaptureStats {
 
 // overBudget reports whether data events must be dropped right now.
 func (c *Capture) overBudget() bool {
-	return c.buffered.Load()+int64(len(c.cur)) > int64(c.opts.BufferBytes)
+	return c.buffered.Load()+int64(len(c.enc.buf)) > int64(c.opts.BufferBytes)
 }
-
-func (c *Capture) putByte(b byte)      { c.cur = append(c.cur, b) }
-func (c *Capture) putUvarint(v uint64) { c.cur = binary.AppendUvarint(c.cur, v) }
-func (c *Capture) putVarint(v int64)   { c.cur = binary.AppendVarint(c.cur, v) }
 
 // finishEvent runs after each encoded event: hands full chunks to the
 // flusher and rotates segments at the boundary.
 func (c *Capture) finishEvent() {
 	c.events.Add(1)
-	if c.opts.MaxSegmentBytes > 0 && c.segBytes+int64(len(c.cur)) >= c.opts.MaxSegmentBytes {
+	if c.opts.MaxSegmentBytes > 0 && c.segBytes+int64(len(c.enc.buf)) >= c.opts.MaxSegmentBytes {
 		c.rotateLocked()
 		return
 	}
-	if len(c.cur) >= captureChunkSize {
+	if len(c.enc.buf) >= captureChunkSize {
 		c.flushLocked(false)
 	}
 }
@@ -176,24 +168,25 @@ func (c *Capture) finishEvent() {
 // ordinary chunk sends do not — a full channel just leaves the chunk
 // growing until backpressure dropping catches up.
 func (c *Capture) flushLocked(rotate bool) {
-	if len(c.cur) == 0 && !rotate {
+	n := len(c.enc.buf)
+	if n == 0 && !rotate {
 		return
 	}
-	msg := captureMsg{data: c.cur, rotate: rotate}
-	c.buffered.Add(int64(len(c.cur)))
+	msg := captureMsg{data: c.enc.buf, rotate: rotate}
+	c.buffered.Add(int64(n))
 	if rotate {
 		c.ch <- msg
 	} else {
 		select {
 		case c.ch <- msg:
 		default:
-			c.buffered.Add(-int64(len(c.cur)))
+			c.buffered.Add(-int64(n))
 			return // keep accumulating; drop policy bounds growth
 		}
 	}
-	c.bytes.Add(uint64(len(c.cur)))
-	c.segBytes += int64(len(c.cur))
-	c.cur = make([]byte, 0, captureChunkSize)
+	c.bytes.Add(uint64(n))
+	c.segBytes += int64(n)
+	c.enc.buf = make([]byte, 0, captureChunkSize)
 }
 
 // rotateLocked ends the current segment and primes the next one so it
@@ -201,44 +194,22 @@ func (c *Capture) flushLocked(rotate bool) {
 // attach table plus every open permission window are re-emitted at the
 // head of the new segment. Per-thread VA deltas restart from zero.
 func (c *Capture) rotateLocked() {
-	c.putByte(evEnd)
+	c.enc.end()
 	c.flushLocked(true)
 	c.seg++
 	c.segments.Add(1)
 	c.segBytes = 0
-	clear(c.lastVA)
+	c.enc.va = newVAState(nil)
 
-	doms := make([]core.DomainID, 0, len(c.attached))
-	for d := range c.attached {
-		doms = append(doms, d)
-	}
-	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
-	for _, d := range doms {
+	for _, d := range slices.Sorted(maps.Keys(c.attached)) {
 		a := c.attached[d]
-		c.putByte(evAttach)
-		c.putUvarint(uint64(d))
-		c.putUvarint(uint64(a.r.Base))
-		c.putUvarint(a.r.Size)
-		c.putUvarint(uint64(a.perm))
+		c.enc.attach(d, a.r, a.perm)
 	}
-	var open []captureWindow
-	for _, m := range c.windows {
-		for _, w := range m {
-			open = append(open, w)
+	for _, th := range slices.Sorted(maps.Keys(c.windows)) {
+		for _, d := range slices.Sorted(maps.Keys(c.windows[th])) {
+			w := c.windows[th][d]
+			c.enc.setPerm(th, d, w.perm, w.site)
 		}
-	}
-	sort.Slice(open, func(i, j int) bool {
-		if open[i].th != open[j].th {
-			return open[i].th < open[j].th
-		}
-		return open[i].d < open[j].d
-	})
-	for _, w := range open {
-		c.putByte(evSetPerm)
-		c.putUvarint(uint64(w.th))
-		c.putUvarint(uint64(w.d))
-		c.putUvarint(uint64(w.perm))
-		c.putUvarint(uint64(w.site))
 	}
 }
 
@@ -250,9 +221,7 @@ func (c *Capture) Instr(th core.ThreadID, n uint64) {
 		c.dropped.Add(1)
 		return
 	}
-	c.putByte(evInstr)
-	c.putUvarint(uint64(th))
-	c.putUvarint(n)
+	c.enc.instr(th, n)
 	c.finishEvent()
 }
 
@@ -265,15 +234,7 @@ func (c *Capture) Access(th core.ThreadID, va memlayout.VA, size uint32, write b
 		c.dropped.Add(1)
 		return true
 	}
-	kind := evLoad
-	if write {
-		kind = evStore
-	}
-	c.putByte(kind)
-	c.putUvarint(uint64(th))
-	c.putVarint(int64(va) - int64(c.lastVA[th]))
-	c.putUvarint(uint64(size))
-	c.lastVA[th] = va
+	c.enc.access(th, va, size, write)
 	c.finishEvent()
 	return true
 }
@@ -286,10 +247,7 @@ func (c *Capture) Fetch(th core.ThreadID, va memlayout.VA) bool {
 		c.dropped.Add(1)
 		return true
 	}
-	c.putByte(evFetch)
-	c.putUvarint(uint64(th))
-	c.putVarint(int64(va) - int64(c.lastVA[th]))
-	c.lastVA[th] = va
+	c.enc.fetch(th, va)
 	c.finishEvent()
 	return true
 }
@@ -309,13 +267,9 @@ func (c *Capture) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site c
 			m = make(map[core.DomainID]captureWindow)
 			c.windows[th] = m
 		}
-		m[d] = captureWindow{th: th, d: d, perm: p, site: site}
+		m[d] = captureWindow{perm: p, site: site}
 	}
-	c.putByte(evSetPerm)
-	c.putUvarint(uint64(th))
-	c.putUvarint(uint64(d))
-	c.putUvarint(uint64(p))
-	c.putUvarint(uint64(site))
+	c.enc.setPerm(th, d, p, site)
 	c.finishEvent()
 }
 
@@ -328,11 +282,7 @@ func (c *Capture) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) er
 		return nil
 	}
 	c.attached[d] = captureAttach{r: r, perm: perm}
-	c.putByte(evAttach)
-	c.putUvarint(uint64(d))
-	c.putUvarint(uint64(r.Base))
-	c.putUvarint(r.Size)
-	c.putUvarint(uint64(perm))
+	c.enc.attach(d, r, perm)
 	c.finishEvent()
 	return nil
 }
@@ -348,8 +298,7 @@ func (c *Capture) Detach(d core.DomainID) {
 	for _, m := range c.windows {
 		delete(m, d)
 	}
-	c.putByte(evDetach)
-	c.putUvarint(uint64(d))
+	c.enc.detach(d)
 	c.finishEvent()
 }
 
@@ -361,8 +310,7 @@ func (c *Capture) Fence(th core.ThreadID) {
 		c.dropped.Add(1)
 		return
 	}
-	c.putByte(evFence)
-	c.putUvarint(uint64(th))
+	c.enc.fence(th)
 	c.finishEvent()
 }
 
@@ -376,7 +324,7 @@ func (c *Capture) Close() error {
 		return c.Err()
 	}
 	c.closed = true
-	c.putByte(evEnd)
+	c.enc.end()
 	c.flushLocked(true)
 	c.mu.Unlock()
 	close(c.ch)
@@ -497,42 +445,28 @@ func (v *VerdictLog) Merge(o *VerdictLog) {
 
 // withVerdicts tees Access/Fetch outcomes into a VerdictLog.
 type withVerdicts struct {
-	next Sink
-	log  *VerdictLog
+	Sink
+	log *VerdictLog
 }
 
 // WithVerdicts wraps next so every Access/Fetch verdict is appended to
 // log. Tee cannot observe the enforcing sink's verdicts (it only ANDs
 // them), so the wrapper sits between the Tee and the machine.
 func WithVerdicts(next Sink, log *VerdictLog) Sink {
-	return &withVerdicts{next: next, log: log}
+	return &withVerdicts{Sink: next, log: log}
 }
 
-func (s *withVerdicts) Instr(th core.ThreadID, n uint64) { s.next.Instr(th, n) }
-
 func (s *withVerdicts) Access(th core.ThreadID, va memlayout.VA, size uint32, write bool) bool {
-	ok := s.next.Access(th, va, size, write)
+	ok := s.Sink.Access(th, va, size, write)
 	s.log.Append(ok)
 	return ok
 }
 
 func (s *withVerdicts) Fetch(th core.ThreadID, va memlayout.VA) bool {
-	ok := s.next.Fetch(th, va)
+	ok := s.Sink.Fetch(th, va)
 	s.log.Append(ok)
 	return ok
 }
-
-func (s *withVerdicts) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site core.SiteID) {
-	s.next.SetPerm(th, d, p, site)
-}
-
-func (s *withVerdicts) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) error {
-	return s.next.Attach(d, r, perm)
-}
-
-func (s *withVerdicts) Detach(d core.DomainID) { s.next.Detach(d) }
-
-func (s *withVerdicts) Fence(th core.ThreadID) { s.next.Fence(th) }
 
 var _ Sink = (*withVerdicts)(nil)
 

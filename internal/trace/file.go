@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -11,259 +8,122 @@ import (
 	"domainvirt/internal/memlayout"
 )
 
-// Binary trace format: a 8-byte header ("PMOTRC" + 2-byte version),
-// followed by events. Each event is a kind byte followed by
-// varint-encoded fields. Access events delta-encode the VA against the
-// previous access of the same thread for compactness.
-
-var fileMagic = [8]byte{'P', 'M', 'O', 'T', 'R', 'C', 0, 1}
-
-// Event kinds on the wire.
-const (
-	evInstr uint8 = iota + 1
-	evLoad
-	evStore
-	evSetPerm
-	evAttach
-	evDetach
-	evFence
-	evFetch
-	evEnd
-)
+// bufferBytes is both the size Writer lets its buffer reach before
+// writing it out and the window Replay decodes from.
+const bufferBytes = 64 << 10
 
 // Writer records an event stream to w in the binary trace format. It
 // implements Sink. Close must be called to flush the end marker.
 type Writer struct {
-	bw     *bufio.Writer
-	lastVA map[core.ThreadID]memlayout.VA
-	err    error
-	buf    [binary.MaxVarintLen64]byte
+	w   io.Writer
+	enc encoder
+	err error
 }
 
 // NewWriter returns a trace Writer over w.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{bw: bw, lastVA: make(map[core.ThreadID]memlayout.VA)}, nil
+	buf := make([]byte, 0, bufferBytes+maxEventBytes)
+	return &Writer{w: w, enc: newEncoder(append(buf, fileMagic[:]...))}, nil
 }
 
-func (w *Writer) putByte(b uint8) {
+// spill writes the buffer out once it passes bufferBytes.
+func (w *Writer) spill() {
+	if len(w.enc.buf) >= bufferBytes {
+		w.flush()
+	}
+}
+
+func (w *Writer) flush() {
 	if w.err == nil {
-		w.err = w.bw.WriteByte(b)
+		_, w.err = w.w.Write(w.enc.buf)
 	}
-}
-
-func (w *Writer) putUvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	n := binary.PutUvarint(w.buf[:], v)
-	_, w.err = w.bw.Write(w.buf[:n])
-}
-
-func (w *Writer) putVarint(v int64) {
-	if w.err != nil {
-		return
-	}
-	n := binary.PutVarint(w.buf[:], v)
-	_, w.err = w.bw.Write(w.buf[:n])
+	w.enc.buf = w.enc.buf[:0]
 }
 
 // Instr implements Sink.
 func (w *Writer) Instr(th core.ThreadID, n uint64) {
-	w.putByte(evInstr)
-	w.putUvarint(uint64(th))
-	w.putUvarint(n)
+	w.enc.instr(th, n)
+	w.spill()
 }
 
 // Access implements Sink.
 func (w *Writer) Access(th core.ThreadID, va memlayout.VA, size uint32, write bool) bool {
-	kind := evLoad
-	if write {
-		kind = evStore
-	}
-	w.putByte(kind)
-	w.putUvarint(uint64(th))
-	w.putVarint(int64(va) - int64(w.lastVA[th]))
-	w.putUvarint(uint64(size))
-	w.lastVA[th] = va
+	w.enc.access(th, va, size, write)
+	w.spill()
 	return true
 }
 
 // Fetch implements Sink.
 func (w *Writer) Fetch(th core.ThreadID, va memlayout.VA) bool {
-	w.putByte(evFetch)
-	w.putUvarint(uint64(th))
-	w.putVarint(int64(va) - int64(w.lastVA[th]))
-	w.lastVA[th] = va
+	w.enc.fetch(th, va)
+	w.spill()
 	return true
 }
 
 // SetPerm implements Sink.
 func (w *Writer) SetPerm(th core.ThreadID, d core.DomainID, p core.Perm, site core.SiteID) {
-	w.putByte(evSetPerm)
-	w.putUvarint(uint64(th))
-	w.putUvarint(uint64(d))
-	w.putUvarint(uint64(p))
-	w.putUvarint(uint64(site))
+	w.enc.setPerm(th, d, p, site)
+	w.spill()
 }
 
-// Attach implements Sink.
+// Attach implements Sink. It returns the first write error, if any.
 func (w *Writer) Attach(d core.DomainID, r memlayout.Region, perm core.Perm) error {
-	w.putByte(evAttach)
-	w.putUvarint(uint64(d))
-	w.putUvarint(uint64(r.Base))
-	w.putUvarint(r.Size)
-	w.putUvarint(uint64(perm))
+	w.enc.attach(d, r, perm)
+	w.spill()
 	return w.err
 }
 
 // Detach implements Sink.
 func (w *Writer) Detach(d core.DomainID) {
-	w.putByte(evDetach)
-	w.putUvarint(uint64(d))
+	w.enc.detach(d)
+	w.spill()
 }
 
 // Fence implements Sink.
 func (w *Writer) Fence(th core.ThreadID) {
-	w.putByte(evFence)
-	w.putUvarint(uint64(th))
+	w.enc.fence(th)
+	w.spill()
 }
 
 // Close writes the end marker and flushes buffered data.
 func (w *Writer) Close() error {
-	w.putByte(evEnd)
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
+	w.enc.end()
+	w.flush()
+	return w.err
 }
 
 // Replay reads a binary trace from r and feeds it to sink. It returns the
-// number of events replayed.
+// number of events replayed. It decodes from a window of bufferBytes,
+// refilled from r whenever less than one maximal event remains in it, so
+// it never holds a whole trace.
 func Replay(r io.Reader, sink Sink) (uint64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	window := make([]byte, bufferBytes)
+	if _, err := io.ReadFull(r, window[:len(fileMagic)]); err != nil {
 		return 0, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if magic != fileMagic {
-		return 0, errors.New("trace: bad magic or unsupported version")
+	if [8]byte(window[:8]) != fileMagic {
+		return 0, errBadMagic
 	}
-	lastVA := make(map[core.ThreadID]memlayout.VA)
+	d := newDecoder(nil, 0, nil)
+	eof := false
 	var n uint64
 	for {
-		kind, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				return n, errors.New("trace: truncated (missing end marker)")
+		if !eof && len(d.data)-d.pos < maxEventBytes {
+			kept := copy(window, d.data[d.pos:])
+			got, err := io.ReadFull(r, window[kept:])
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				eof = true
+			} else if err != nil {
+				return n, err
 			}
-			return n, err
+			d.data, d.pos = window[:kept+got], 0
 		}
-		if kind == evEnd {
+		switch d.next(sink) {
+		case evEnd:
 			return n, nil
+		case 0:
+			return n, d.err
 		}
 		n++
-		switch kind {
-		case evInstr:
-			th, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			cnt, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			sink.Instr(core.ThreadID(th), cnt)
-		case evLoad, evStore:
-			th, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			delta, err := binary.ReadVarint(br)
-			if err != nil {
-				return n, err
-			}
-			size, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			tid := core.ThreadID(th)
-			va := memlayout.VA(int64(lastVA[tid]) + delta)
-			lastVA[tid] = va
-			sink.Access(tid, va, uint32(size), kind == evStore)
-		case evSetPerm:
-			th, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			d, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			p, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			site, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			sink.SetPerm(core.ThreadID(th), core.DomainID(d), core.Perm(p), core.SiteID(site))
-		case evAttach:
-			d, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			base, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			size, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			perm, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			r := memlayout.Region{Base: memlayout.VA(base), Size: size}
-			if err := sink.Attach(core.DomainID(d), r, core.Perm(perm)); err != nil {
-				return n, fmt.Errorf("trace: attach domain %d: %w", d, err)
-			}
-		case evDetach:
-			d, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			sink.Detach(core.DomainID(d))
-		case evFence:
-			th, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			sink.Fence(core.ThreadID(th))
-		case evFetch:
-			th, err := readUvarint(br)
-			if err != nil {
-				return n, err
-			}
-			delta, err := binary.ReadVarint(br)
-			if err != nil {
-				return n, err
-			}
-			tid := core.ThreadID(th)
-			va := memlayout.VA(int64(lastVA[tid]) + delta)
-			lastVA[tid] = va
-			sink.Fetch(tid, va)
-		default:
-			return n, fmt.Errorf("trace: unknown event kind %d", kind)
-		}
 	}
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(br)
 }

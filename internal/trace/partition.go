@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -32,9 +31,6 @@ type Partition struct {
 	Final bool
 }
 
-// errTruncated matches the sequential reader's truncation error text.
-var errTruncated = errors.New("trace: truncated (missing end marker)")
-
 // SplitTrace scans a complete in-memory trace and cuts it into at most
 // maxParts partitions of roughly equal byte size. Cuts are placed only
 // at safe boundaries: immediately before a synchronization event
@@ -43,20 +39,19 @@ var errTruncated = errors.New("trace: truncated (missing end marker)")
 // simulator's round-robin placement). A trace with no safe boundary past
 // a target point simply yields fewer partitions.
 //
-// The scan validates the whole trace structurally: bad magic, an unknown
-// event kind, or a missing end marker is an error, so a successful split
-// guarantees every partition replays cleanly.
+// The scan decodes the whole trace, so it rejects exactly what Replay
+// rejects, and a successful split guarantees every partition replays
+// cleanly.
 func SplitTrace(data []byte, maxParts int) ([]Partition, error) {
 	if len(data) < len(fileMagic) || [8]byte(data[:8]) != fileMagic {
-		return nil, errors.New("trace: bad magic or unsupported version")
+		return nil, errBadMagic
 	}
 	if maxParts < 1 {
 		maxParts = 1
 	}
 
-	d := &decoder{data: data, pos: len(fileMagic)}
-	lastVA := make(map[core.ThreadID]memlayout.VA)
-	cur := Partition{Offset: int64(d.pos), LastVA: copyVAMap(lastVA)}
+	d := newDecoder(data, len(fileMagic), nil)
+	cur := Partition{Offset: int64(d.pos), LastVA: d.va.snapshot()}
 	var parts []Partition
 
 	// Even byte targets over the event body. The body length is only
@@ -69,37 +64,27 @@ func SplitTrace(data []byte, maxParts int) ([]Partition, error) {
 	first := true
 	for {
 		evStart := d.pos
-		kind, ok := d.byte()
-		if !ok {
-			return nil, errTruncated
-		}
+		kind, th := d.peek()
 		if kind == evEnd {
 			cur.Length = int64(evStart) - cur.Offset
 			cur.Final = true
-			parts = append(parts, cur)
-			return parts, nil
+			return append(parts, cur), nil
 		}
-
-		th, sync, err := d.skipEvent(kind, lastVA)
-		if err != nil {
-			return nil, err
-		}
+		sync := kind == evSetPerm || kind == evAttach || kind == evDetach || kind == evFence
 
 		// Cut before this event if we are past the target and the
-		// boundary is safe.
+		// boundary is safe. The decoder has not read the event yet, so
+		// its VA state is the state the new partition starts from.
 		if len(parts) < maxParts-1 && int64(evStart) >= nextTarget && !first &&
 			(sync || th != prevThread) {
 			cur.Length = int64(evStart) - cur.Offset
 			parts = append(parts, cur)
-			cur = Partition{Offset: int64(evStart), Events: 0, LastVA: copyVAMap(lastVA)}
+			cur = Partition{Offset: int64(evStart), LastVA: d.va.snapshot()}
 			nextTarget = int64(evStart) + targetStep
 		}
 
-		// Apply the event's decoder-state effect after the cut decision:
-		// LastVA must describe the state *before* the partition's first
-		// event.
-		if kind == evLoad || kind == evStore || kind == evFetch {
-			lastVA[th] = d.decodedVA
+		if d.next(Discard{}) == 0 {
+			return nil, d.err
 		}
 		cur.Events++
 		if !sync {
@@ -120,22 +105,14 @@ func ReplayPartition(data []byte, p Partition, sink Sink) (uint64, error) {
 	if p.Offset < int64(len(fileMagic)) || p.Length < 0 || p.Offset+p.Length > int64(len(data)) {
 		return 0, fmt.Errorf("trace: partition [%d,+%d) out of range", p.Offset, p.Length)
 	}
-	d := &decoder{data: data[:p.Offset+p.Length], pos: int(p.Offset)}
-	lastVA := copyVAMap(p.LastVA)
-	if lastVA == nil {
-		lastVA = make(map[core.ThreadID]memlayout.VA)
-	}
+	d := newDecoder(data[:p.Offset+p.Length], int(p.Offset), p.LastVA)
 	var n uint64
-	for int64(d.pos) < p.Offset+p.Length {
-		kind, ok := d.byte()
-		if !ok {
-			return n, errTruncated
-		}
-		if kind == evEnd {
+	for d.pos < len(d.data) {
+		switch d.next(sink) {
+		case 0:
+			return n, d.err
+		case evEnd:
 			return n, errors.New("trace: end marker inside partition")
-		}
-		if err := d.emitEvent(kind, lastVA, sink); err != nil {
-			return n, err
 		}
 		n++
 	}
@@ -143,232 +120,4 @@ func ReplayPartition(data []byte, p Partition, sink Sink) (uint64, error) {
 		return n, fmt.Errorf("trace: partition decoded %d events, descriptor says %d", n, p.Events)
 	}
 	return n, nil
-}
-
-func copyVAMap(m map[core.ThreadID]memlayout.VA) map[core.ThreadID]memlayout.VA {
-	if m == nil {
-		return nil
-	}
-	out := make(map[core.ThreadID]memlayout.VA, len(m))
-	for th, va := range m {
-		out[th] = va
-	}
-	return out
-}
-
-// decoder is a cursor over in-memory trace bytes. Unlike the streaming
-// reader in Replay, it works on a slice so the partitioner can record
-// exact byte offsets of event boundaries.
-type decoder struct {
-	data []byte
-	pos  int
-
-	// decodedVA holds the absolute VA of the most recently skipped
-	// load/store/fetch, so the partitioner can apply the decoder-state
-	// update after making its cut decision.
-	decodedVA memlayout.VA
-}
-
-func (d *decoder) byte() (uint8, bool) {
-	if d.pos >= len(d.data) {
-		return 0, false
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b, true
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.pos += n
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.pos += n
-	return v, nil
-}
-
-// skipEvent consumes one event body (kind already read) without
-// emitting it, returning the issuing thread (0 for thread-less attach/
-// detach) and whether the event is a synchronization point. lastVA is
-// read (never written) to resolve delta-encoded addresses; the decoded
-// absolute VA is left in d.decodedVA for the caller to apply after its
-// cut decision.
-func (d *decoder) skipEvent(kind uint8, lastVA map[core.ThreadID]memlayout.VA) (core.ThreadID, bool, error) {
-	switch kind {
-	case evInstr:
-		th, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		if _, err := d.uvarint(); err != nil {
-			return 0, false, err
-		}
-		return core.ThreadID(th), false, nil
-	case evLoad, evStore:
-		th, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return 0, false, err
-		}
-		if _, err := d.uvarint(); err != nil {
-			return 0, false, err
-		}
-		d.decodedVA = memlayout.VA(int64(lastVA[core.ThreadID(th)]) + delta)
-		return core.ThreadID(th), false, nil
-	case evFetch:
-		th, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return 0, false, err
-		}
-		d.decodedVA = memlayout.VA(int64(lastVA[core.ThreadID(th)]) + delta)
-		return core.ThreadID(th), false, nil
-	case evSetPerm:
-		th, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := d.uvarint(); err != nil {
-				return 0, false, err
-			}
-		}
-		return core.ThreadID(th), true, nil
-	case evAttach:
-		for i := 0; i < 4; i++ {
-			if _, err := d.uvarint(); err != nil {
-				return 0, false, err
-			}
-		}
-		return 0, true, nil
-	case evDetach:
-		if _, err := d.uvarint(); err != nil {
-			return 0, false, err
-		}
-		return 0, true, nil
-	case evFence:
-		th, err := d.uvarint()
-		if err != nil {
-			return 0, false, err
-		}
-		return core.ThreadID(th), true, nil
-	default:
-		return 0, false, fmt.Errorf("trace: unknown event kind %d", kind)
-	}
-}
-
-// emitEvent decodes one event body (kind already read) and delivers it
-// to sink, updating lastVA for delta-encoded addresses.
-func (d *decoder) emitEvent(kind uint8, lastVA map[core.ThreadID]memlayout.VA, sink Sink) error {
-	switch kind {
-	case evInstr:
-		th, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		cnt, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		sink.Instr(core.ThreadID(th), cnt)
-	case evLoad, evStore:
-		th, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return err
-		}
-		size, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		tid := core.ThreadID(th)
-		va := memlayout.VA(int64(lastVA[tid]) + delta)
-		lastVA[tid] = va
-		sink.Access(tid, va, uint32(size), kind == evStore)
-	case evFetch:
-		th, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return err
-		}
-		tid := core.ThreadID(th)
-		va := memlayout.VA(int64(lastVA[tid]) + delta)
-		lastVA[tid] = va
-		sink.Fetch(tid, va)
-	case evSetPerm:
-		th, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		dom, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		p, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		site, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		sink.SetPerm(core.ThreadID(th), core.DomainID(dom), core.Perm(p), core.SiteID(site))
-	case evAttach:
-		dom, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		base, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		size, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		perm, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		r := memlayout.Region{Base: memlayout.VA(base), Size: size}
-		if err := sink.Attach(core.DomainID(dom), r, core.Perm(perm)); err != nil {
-			return fmt.Errorf("trace: attach domain %d: %w", dom, err)
-		}
-	case evDetach:
-		dom, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		sink.Detach(core.DomainID(dom))
-	case evFence:
-		th, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		sink.Fence(core.ThreadID(th))
-	default:
-		return fmt.Errorf("trace: unknown event kind %d", kind)
-	}
-	return nil
 }

@@ -114,8 +114,8 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	w.Instr(1, 5)
-	// No Close: flush manually to simulate truncation.
-	_ = w.bw.Flush()
+	// No Close: flush without the end marker to simulate truncation.
+	w.flush()
 	if _, err := Replay(&buf, Discard{}); err == nil {
 		t.Error("truncated trace accepted")
 	}

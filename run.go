@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"domainvirt/internal/core"
-	"domainvirt/internal/memlayout"
 	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
 	"domainvirt/internal/trace"
@@ -84,7 +82,7 @@ func setUp(w workload.Workload, name string, p Params, scheme Scheme, cfg Config
 // returned switch still points at Discard; the caller hands it m where
 // the replayed prefix ends.
 func fork(w workload.Workload, name string, p Params, scheme Scheme, m *sim.Machine) (readyCell, *sinkSwitch, error) {
-	sw := &sinkSwitch{inner: trace.Discard{}}
+	sw := &sinkSwitch{trace.Discard{}}
 	env := workload.NewEnv(sw, p)
 	if err := w.Setup(env); err != nil {
 		return readyCell{}, nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
@@ -92,24 +90,10 @@ func fork(w workload.Workload, name string, p Params, scheme Scheme, m *sim.Mach
 	return readyCell{m: m, w: w, env: env}, sw, nil
 }
 
-// sinkSwitch delegates the trace.Sink interface to a swappable inner
+// sinkSwitch passes the trace.Sink interface on to a swappable embedded
 // sink, so a forked cell's Go-side replay can run against Discard and
 // its measured operations against the machine.
-type sinkSwitch struct{ inner trace.Sink }
-
-func (s *sinkSwitch) Instr(th ThreadID, n uint64) { s.inner.Instr(th, n) }
-func (s *sinkSwitch) Access(th ThreadID, va VA, size uint32, write bool) bool {
-	return s.inner.Access(th, va, size, write)
-}
-func (s *sinkSwitch) Fetch(th ThreadID, va VA) bool { return s.inner.Fetch(th, va) }
-func (s *sinkSwitch) SetPerm(th ThreadID, d DomainID, p Perm, site core.SiteID) {
-	s.inner.SetPerm(th, d, p, site)
-}
-func (s *sinkSwitch) Attach(d DomainID, r memlayout.Region, perm Perm) error {
-	return s.inner.Attach(d, r, perm)
-}
-func (s *sinkSwitch) Detach(d DomainID) { s.inner.Detach(d) }
-func (s *sinkSwitch) Fence(th ThreadID) { s.inner.Fence(th) }
+type sinkSwitch struct{ trace.Sink }
 
 // readyCell is one cell ready for its measured phase: a machine holding
 // the state that phase starts from, and the workload whose Go-side state

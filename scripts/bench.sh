@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — regenerate or gate the checked-in benchmark budget
 # (BENCH_sim.json) covering the simulator hot path, the TLB debt set
-# and range flush, the page table's key rewrite, the serve
+# and range flush, the page table's key rewrite, trace decode, the serve
 # wire/request/batch path, and cluster routing.
 #
 #   scripts/bench.sh check    # default: fail on >10% ns/op regression
@@ -26,7 +26,7 @@ tol="${BENCH_TOLERANCE:-0.10}"
 # Ps let the runtime scheduler add allocations to the parallel benchmarks.
 run_bench() {
     go test -run '^$' -bench . -benchmem -benchtime "$btime" -count "$count" -cpu 1 \
-        ./internal/sim/ ./internal/tlb/ ./internal/pagetable/ ./internal/serve/ ./internal/cluster/
+        ./internal/sim/ ./internal/tlb/ ./internal/pagetable/ ./internal/trace/ ./internal/serve/ ./internal/cluster/
 }
 
 case "$mode" in

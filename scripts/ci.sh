@@ -58,6 +58,9 @@ go test -fuzz FuzzFrames -fuzztime 5s -run '^$' ./internal/sweep/
 # And of serve's BATCH container parser, differentially against the
 # router's own scan of the same container.
 go test -fuzz FuzzBatch -fuzztime 5s -run '^$' ./internal/serve/
+# And of the trace decoder, the reader of the trace files pmotrace takes
+# from disk, differentially between Replay and SplitTrace.
+go test -fuzz FuzzSplitTrace -fuzztime 5s -run '^$' ./internal/trace/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
@@ -67,7 +70,7 @@ go test -fuzz FuzzBatch -fuzztime 5s -run '^$' ./internal/serve/
 # scheduler adds a fraction of an allocation per op to the parallel
 # benchmarks, which the integer allocs/op can round up past a budget.
 go test -run '^$' -bench . -benchmem -benchtime 200x -cpu 1 \
-    ./internal/sim/ ./internal/tlb/ ./internal/pagetable/ ./internal/serve/ ./internal/cluster/ \
+    ./internal/sim/ ./internal/tlb/ ./internal/pagetable/ ./internal/trace/ ./internal/serve/ ./internal/cluster/ \
     | go run ./cmd/benchjson -check BENCH_sim.json -ns-tolerance -1
 
 # Smoke: an observed run must write a parseable, nonempty epoch series.

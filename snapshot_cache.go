@@ -314,7 +314,7 @@ func (c *SnapshotCache) ready(w workload.Workload, name string, p Params, scheme
 	if err != nil {
 		return readyCell{}, warmupNone, err
 	}
-	sw.inner = cell.m
+	sw.Sink = cell.m
 	return cell, src, nil
 }
 
