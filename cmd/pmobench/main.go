@@ -17,10 +17,12 @@
 // -obs-epoch), and per-scheme merged latency histograms into one
 // subdirectory per experiment.
 //
-// -snapshot-dir keeps warmup machine checkpoints in a persistent
-// content-addressed store, so a second invocation against the same
-// directory re-simulates zero warmups; a final stderr line reports the
-// cache's warmup/hit counters. -sweep-addrs fans grid cells out to
+// -snapshot-dir keeps warmup machine checkpoints, and the traces of the
+// measured segments run on them, in a persistent content-addressed
+// store, so a second invocation against the same directory
+// re-simulates zero warmups and replays every cell's measured segment
+// instead of running workload code; a final stderr line reports the
+// cache's warmup/hit and trace counters. -sweep-addrs fans grid cells out to
 // pmoworker daemons; outputs are byte-identical to a local run, and
 // cells lost to a dead worker re-run locally.
 package main
@@ -54,7 +56,7 @@ func run() int {
 		seed     = flag.Int64("seed", 42, "workload RNG seed")
 		workers  = flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS)")
 		snapshot = flag.Bool("snapshot", true, "share warmup machine checkpoints across cells and experiments")
-		snapDir  = flag.String("snapshot-dir", "", "persist warmup/mid-run checkpoints in this directory (implies -snapshot)")
+		snapDir  = flag.String("snapshot-dir", "", "persist warmup/mid-run checkpoints and measured-segment traces in this directory (implies -snapshot)")
 		quiet    = flag.Bool("quiet", false, "suppress the banner and per-cell progress lines on stderr")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 
@@ -291,10 +293,12 @@ func run() int {
 
 	if opt.Snapshots != nil {
 		// Machine-readable summary for scripted runs: a primed persistent
-		// store shows warmups=0 on a second invocation.
+		// store shows warmups=0 on a second invocation, and replays every
+		// cell's measured segment from its stored trace.
 		st := opt.Snapshots.Stats()
-		fmt.Fprintf(os.Stderr, "pmobench: snapshot cache: warmups=%d mem_hits=%d disk_hits=%d disk_rejects=%d\n",
-			st.Warmups, st.MemHits, st.DiskHits, st.DiskRejects)
+		replayed, recorded := opt.Snapshots.TraceStats()
+		fmt.Fprintf(os.Stderr, "pmobench: snapshot cache: warmups=%d mem_hits=%d disk_hits=%d disk_rejects=%d traces_replayed=%d traces_recorded=%d\n",
+			st.Warmups, st.MemHits, st.DiskHits, st.DiskRejects, replayed, recorded)
 	}
 	if failed {
 		return 1

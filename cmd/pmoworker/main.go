@@ -10,7 +10,8 @@
 // several connections per worker for intra-worker parallelism. With
 // -snapshot-dir the worker keeps a persistent warmup-checkpoint store:
 // snapshots it misses are pulled from the coordinator mid-cell, and
-// snapshots it builds survive for later sweeps. Killing a worker
+// snapshots it builds survive for later sweeps, as do the traces of
+// the measured segments its cells record and later cells replay. Killing a worker
 // mid-sweep is safe — the coordinator re-runs its lost cells locally
 // and the sweep's outputs are byte-identical either way.
 package main

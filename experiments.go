@@ -40,16 +40,19 @@ type ExpOptions struct {
 	// Progress, when non-nil, receives one "[done/total] label" line
 	// per completed experiment cell (typically os.Stderr). Lines are
 	// serialized; order follows completion. With Snapshots set, each
-	// line is tagged "(snapshot)" when the cell forked from a cached
+	// line is tagged "(snapshot)" when the cell started from a cached
 	// warmup checkpoint or "(warmup)" when it simulated its own setup.
 	Progress io.Writer
 
 	// Snapshots, when non-nil, shares warmup machine checkpoints across
 	// cells and grids: the first cell with a given (workload, params,
 	// scheme, structural config) simulates its setup phase once, and
-	// every later such cell forks from the checkpoint. Results and
+	// every later such cell starts from the checkpoint. A persistent
+	// cache (NewSnapshotCacheDir) also stores the trace of each
+	// (workload, params) measured segment, and cells on a checkpoint
+	// replay it instead of running the workload. Results and
 	// observability exports are bit-identical either way — only
-	// wall-clock time changes. See NewSnapshotCache.
+	// wall-clock time changes. See SnapshotCache.
 	Snapshots *SnapshotCache
 
 	// SweepAddrs lists pmoworker daemon addresses. When non-empty,

@@ -24,10 +24,11 @@ import (
 // machine state at the end of operation `ops` of the measured phase.
 // Unlike the warmup key, it hashes the FULL configuration — measured
 // cycles embed every cost parameter, so a mid-run checkpoint is only
-// valid for the exact config that produced it — plus the codec version.
+// valid for the exact config that produced it — plus the codec and
+// workload stream versions.
 func HorizonKeyFor(name string, p Params, scheme Scheme, cfg Config, ops int) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("horizon|%s|%+v|%s|cfg%s|ops%d|codec%d",
-		name, warmupParams(p), scheme, obs.ConfigHash(cfg), ops, sim.SnapshotCodecVersion)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("horizon|%s|%+v|%s|cfg%s|ops%d|codec%d|stream%d",
+		name, warmupParams(p), scheme, obs.ConfigHash(cfg), ops, sim.SnapshotCodecVersion, workload.StreamVersion)))
 	return hex.EncodeToString(h[:16])
 }
 
@@ -97,13 +98,12 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	}
 
 	// Phase 2: one pass to the largest missing horizon, either resumed
-	// from the deepest stored checkpoint or prepared like any cell.
+	// from the deepest stored checkpoint or prepared like any cell, but
+	// always live: a stored trace marks no op boundary for AtOpEnd, so
+	// the pass neither replays one nor records one.
 	runP := p
 	runP.Ops = target
-	var (
-		c  readyCell
-		sw *sinkSwitch
-	)
+	var c readyCell
 	persistOK := persistent
 	if resumeM != nil {
 		// Resume on the probe holding the checkpoint; the Go-side
@@ -113,7 +113,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		if err != nil {
 			return nil, err
 		}
-		if c, sw, err = fork(w, name, runP, scheme, resumeM); err != nil {
+		if c, err = fork(w, name, runP, scheme, resumeM); err != nil {
 			return nil, err
 		}
 	} else {
@@ -122,7 +122,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		// which diverges from a faulting setup.
 		var src warmupSource
 		var err error
-		if c, src, err = prepare(name, runP, scheme, cfg, cache); err != nil {
+		if c, src, err = prepare(name, runP, scheme, cfg, cache, false); err != nil {
 			return nil, err
 		}
 		persistOK = persistent && src != warmupNone
@@ -133,7 +133,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		if op == resumeOp {
 			// Crossing the resume boundary: the Discard-replayed prefix
 			// ends here and the restored machine takes over.
-			sw.Sink = c.m
+			c.sw.Sink = c.m
 			return
 		}
 		if op <= resumeOp {
@@ -153,7 +153,7 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 			}
 		}
 	}
-	if _, err := c.measure(name, scheme, cfg, nil); err != nil {
+	if _, err := c.measure(name, runP, scheme, cfg, nil); err != nil {
 		return nil, err
 	}
 	return results, nil

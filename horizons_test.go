@@ -184,6 +184,50 @@ func TestRunHorizonsPersistentResume(t *testing.T) {
 	}
 }
 
+// TestRunHorizonsNeverReplays: a store primed by RunCached holds the
+// warmup checkpoint and the trace of the measured segment at the
+// largest horizon, and no horizon checkpoint. The horizon pass must
+// still run live, since a trace marks no op boundary for AtOpEnd, and
+// match independent runs at every horizon.
+func TestRunHorizonsNeverReplays(t *testing.T) {
+	dir := t.TempDir()
+	p := cacheParams()
+	p.Ops = 400
+	cfg := domainvirt.DefaultConfig()
+	s := domainvirt.SchemeDomainVirt
+	prime, err := domainvirt.NewSnapshotCacheDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := domainvirt.RunCached("avl", p, s, cfg, prime); err != nil {
+		t.Fatal(err)
+	}
+	if _, recorded := prime.TraceStats(); recorded != 1 {
+		t.Fatalf("priming recorded %d traces, want 1", recorded)
+	}
+	horizons := []int{100, 200, 400}
+	want := horizonRef(t, "avl", p, s, cfg, horizons)
+	fresh, err := domainvirt.NewSnapshotCacheDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := domainvirt.RunHorizons("avl", p, s, cfg, horizons, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range horizons {
+		if got[i] != want[i] {
+			t.Errorf("horizon %d:\n got: %+v\nwant: %+v", h, got[i], want[i])
+		}
+	}
+	if replayed, recorded := fresh.TraceStats(); replayed != 0 || recorded != 0 {
+		t.Errorf("horizon pass replayed %d and recorded %d traces, want neither", replayed, recorded)
+	}
+	if st := fresh.Stats(); st != (domainvirt.SnapshotCacheStats{DiskHits: 1}) {
+		t.Errorf("stats = %+v, want the warmup checkpoint from disk only", st)
+	}
+}
+
 // TestRunHorizonsValidation rejects malformed ladders.
 func TestRunHorizonsValidation(t *testing.T) {
 	p := cacheParams()

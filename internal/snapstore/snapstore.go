@@ -1,18 +1,21 @@
-// Package snapstore is a content-addressed on-disk cache of encoded
-// machine snapshots. Keys name warmup (or checkpoint) identities — the
-// caller derives them by hashing the workload/params/scheme/structural
-// configuration — and values are the versioned, checksummed buffers of
-// sim.EncodeSnapshot.
+// Package snapstore is a content-addressed on-disk cache of the two
+// things a persistent experiment cache keeps: encoded machine snapshots
+// (warmup and mid-run checkpoints, the versioned, checksummed buffers of
+// sim.EncodeSnapshot) and the recorded traces of measured segments that
+// later cells replay on those checkpoints. Keys name identities — the
+// caller derives them by hashing the workload, params, scheme,
+// structural configuration and format versions — and each kind of file
+// has a suffix of its own in one directory (see Traces).
 //
 // The store is safe for concurrent use by processes sharing one
 // directory: writes go through a same-directory temp file and an atomic
 // rename, so a reader sees either no file or a complete one, never a
 // torn write. Two writers racing on one key both write complete files
 // and the last rename wins — harmless, because a key is derived from
-// the full warmup identity and the codec is deterministic, so rival
-// writers carry identical bytes. Corruption (a partial copy, bit rot, a
-// file from a different codec version) is the decoder's job to reject;
-// the store only moves bytes.
+// the full identity of what it names and both encoders are
+// deterministic, so rival writers carry identical bytes. Corruption (a
+// partial copy, bit rot, a file from a different format version) is the
+// reader's job to reject; the store only moves bytes.
 package snapstore
 
 import (
@@ -26,35 +29,47 @@ import (
 
 // Errors. A key that fails the key rule is a miss for Get and Has.
 var (
-	// ErrMiss reports a key with no stored snapshot.
+	// ErrMiss reports a key with no stored file.
 	ErrMiss = errors.New("snapstore: miss")
 	// ErrKey reports a key outside the key rule: non-empty, and only
 	// [0-9A-Za-z_-].
 	ErrKey = errors.New("snapstore: invalid key")
 )
 
-// ext is the snapshot file suffix.
-const ext = ".pmosnap"
+// File suffixes: snapshots, and the traces of the Traces view.
+const (
+	ext      = ".pmosnap"
+	traceExt = ".pmotrace"
+)
 
-// Store is one snapshot directory.
+// Store is one directory's files of one suffix: snapshots for a Store
+// from Open, traces for its Traces view.
 type Store struct {
 	dir string
+	ext string
 }
 
-// Open returns a Store over dir, creating the directory if needed.
+// Open returns the snapshot Store over dir, creating the directory if
+// needed.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, ext: ext}, nil
 }
+
+// Traces returns the store of traces in s's directory: the same key
+// rule and atomic writes under a suffix of its own, so the snapshot
+// store's Keys never lists a trace and a key may name one of each. It
+// touches no file.
+func (s *Store) Traces() *Store { return &Store{dir: s.dir, ext: traceExt} }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Path returns the file path a key maps to.
 func (s *Store) Path(key string) string {
-	return filepath.Join(s.dir, key+ext)
+	return filepath.Join(s.dir, key+s.ext)
 }
 
 // validKey reports whether key follows the key rule, which keeps every
@@ -70,7 +85,7 @@ func validKey(key string) bool {
 	return key != ""
 }
 
-// Has reports whether a snapshot file exists for key.
+// Has reports whether a file exists for key.
 func (s *Store) Has(key string) bool {
 	if !validKey(key) {
 		return false
@@ -119,7 +134,7 @@ func (s *Store) Put(key string, data []byte) error {
 	return nil
 }
 
-// Delete removes the snapshot for key (a decode-rejected file is dead
+// Delete removes the file for key (a decode-rejected file is dead
 // weight until its writer is fixed; callers drop it before rebuilding).
 // Missing files are not an error.
 func (s *Store) Delete(key string) error {
@@ -132,7 +147,8 @@ func (s *Store) Delete(key string) error {
 	return nil
 }
 
-// Keys lists the stored snapshot keys in directory order.
+// Keys lists the keys of the stored files of s's suffix in directory
+// order.
 func (s *Store) Keys() ([]string, error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -140,7 +156,7 @@ func (s *Store) Keys() ([]string, error) {
 	}
 	var keys []string
 	for _, e := range ents {
-		if name, ok := strings.CutSuffix(e.Name(), ext); ok && !e.IsDir() {
+		if name, ok := strings.CutSuffix(e.Name(), s.ext); ok && !e.IsDir() {
 			keys = append(keys, name)
 		}
 	}

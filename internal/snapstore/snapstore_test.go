@@ -50,6 +50,44 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreTracesView: the trace view shares the directory but not the
+// files. One key names a snapshot and a trace apart, each view's Keys
+// lists only its own suffix, and deleting one leaves the other.
+func TestStoreTracesView(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := s.Traces()
+	if tr.Dir() != s.Dir() || tr.Path("k") == s.Path("k") {
+		t.Fatalf("trace view paths: %s and %s", tr.Path("k"), s.Path("k"))
+	}
+	if err := s.Put("k", []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Has("k") {
+		t.Error("trace view sees the snapshot file")
+	}
+	if err := tr.Put("k", []byte("trace")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Put("t", []byte("trace")); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := s.Keys(); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Errorf("snapshot Keys = %v, %v; want [k]", keys, err)
+	}
+	if keys, err := tr.Keys(); err != nil || len(keys) != 2 {
+		t.Errorf("trace Keys = %v, %v; want 2 keys", keys, err)
+	}
+	if err := tr.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("k"); err != nil || string(got) != "snapshot" {
+		t.Errorf("snapshot after deleting the trace: %q, %v", got, err)
+	}
+}
+
 func TestStoreOpenCreatesNestedDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b", "snapshots")
 	s, err := Open(dir)

@@ -16,7 +16,12 @@ import (
 // previous access of the same thread for compactness. The encoder and
 // the decoder below are the format's only implementation.
 
-var fileMagic = [8]byte{'P', 'M', 'O', 'T', 'R', 'C', 0, 1}
+// FormatVersion is the binary trace format's version, the last two
+// bytes of the header. A store that keys traces by content hashes it,
+// so a trace written in another format never sits under a current key.
+const FormatVersion = 1
+
+var fileMagic = [8]byte{'P', 'M', 'O', 'T', 'R', 'C', FormatVersion >> 8, FormatVersion & 0xff}
 
 // Event kinds on the wire.
 const (

@@ -74,7 +74,7 @@ func TestTraceFormatGolden(t *testing.T) {
 		sum := sha256.Sum256(tc.data)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s trace bytes changed: %d bytes, sha256 %s, want %s. "+
-				"A format change must bump the version bytes of fileMagic.",
+				"A format change must bump FormatVersion.",
 				tc.name, len(tc.data), got, tc.want)
 		}
 	}

@@ -131,6 +131,16 @@ func NewEnv(sink trace.Sink, p Params) *Env {
 	}
 }
 
+// StreamVersion names the event streams the registered workloads emit.
+// Stored warmup checkpoints, mid-run checkpoints and measured-segment
+// traces hash it into their keys, because none of their other key
+// fields moves when a workload's code does: bump it whenever a change
+// to a workload changes the Sink calls it makes for some Params, and a
+// store primed by the old code then misses instead of serving the old
+// stream. TestStreamGolden pins every workload's stream and fails until
+// the bump and a re-pin are made.
+const StreamVersion = 1
+
 // Workload is one benchmark: Setup builds and populates its pools (not
 // measured); Run executes P.Ops measured operations.
 type Workload interface {

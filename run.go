@@ -1,6 +1,7 @@
 package domainvirt
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -37,24 +38,25 @@ func RunObserved(name string, p Params, scheme Scheme, cfg Config, o ObsOptions)
 // rec (if any) attached. hit reports a cell served from a cached warmup
 // checkpoint.
 func runCell(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (res Result, hit bool, err error) {
-	c, src, err := prepare(name, p, scheme, cfg, cache)
+	c, src, err := prepare(name, p, scheme, cfg, cache, true)
 	if err != nil {
 		return Result{}, false, err
 	}
-	res, err = c.measure(name, scheme, cfg, rec)
+	res, err = c.measure(name, p, scheme, cfg, rec)
 	return res, src == warmupDisk || src == warmupMem, err
 }
 
 // prepare returns the cell set up and ready to measure: served by cache
-// when there is one (see SnapshotCache.ready), else simulated on a fresh
-// machine.
-func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache) (readyCell, warmupSource, error) {
+// when there is one (see SnapshotCache.ready; traced lets a persistent
+// cache replay or record the measured segment's trace), else simulated
+// on a fresh machine.
+func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache, traced bool) (readyCell, warmupSource, error) {
 	w, err := workload.New(name)
 	if err != nil {
 		return readyCell{}, warmupNone, err
 	}
 	if cache != nil {
-		return cache.ready(w, name, p, scheme, cfg)
+		return cache.ready(w, name, p, scheme, cfg, traced)
 	}
 	c, _, err := setUp(w, name, p, scheme, cfg)
 	return c, warmupNone, err
@@ -66,53 +68,62 @@ func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCa
 // replayed against Discard (see fork).
 func setUp(w workload.Workload, name string, p Params, scheme Scheme, cfg Config) (c readyCell, forkable bool, err error) {
 	m := sim.NewMachine(cfg, scheme)
-	env := workload.NewEnv(m, p)
+	sw := &sinkSwitch{m}
+	env := workload.NewEnv(sw, p)
 	if err := w.Setup(env); err != nil {
 		return readyCell{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 	}
 	r := m.Result()
 	forkable = r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0
 	m.ResetStats()
-	return readyCell{m: m, w: w, env: env}, forkable, nil
+	return readyCell{m: m, w: w, env: env, sw: sw}, forkable, nil
 }
 
 // fork prepares a cell that measures on m, a machine already holding a
 // checkpoint: it rebuilds w's Go-side state (pools, data structures,
 // attachments) by running Setup against Discard — no simulation. The
-// returned switch still points at Discard; the caller hands it m where
+// cell's switch still points at Discard; the caller hands it m where
 // the replayed prefix ends.
-func fork(w workload.Workload, name string, p Params, scheme Scheme, m *sim.Machine) (readyCell, *sinkSwitch, error) {
+func fork(w workload.Workload, name string, p Params, scheme Scheme, m *sim.Machine) (readyCell, error) {
 	sw := &sinkSwitch{trace.Discard{}}
 	env := workload.NewEnv(sw, p)
 	if err := w.Setup(env); err != nil {
-		return readyCell{}, nil, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+		return readyCell{}, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 	}
-	return readyCell{m: m, w: w, env: env}, sw, nil
+	return readyCell{m: m, w: w, env: env, sw: sw}, nil
 }
 
 // sinkSwitch passes the trace.Sink interface on to a swappable embedded
-// sink, so a forked cell's Go-side replay can run against Discard and
-// its measured operations against the machine.
+// sink, so a live cell's measured phase can drive a sink its setup did
+// not: the machine after a fork's Go-side replay against Discard, or a
+// Tee that records the phase as well.
 type sinkSwitch struct{ trace.Sink }
 
 // readyCell is one cell ready for its measured phase: a machine holding
-// the state that phase starts from, and the workload whose Go-side state
-// Setup built through env, which drives m (directly, or through the
-// sinkSwitch of a fork).
+// the state that phase starts from, and the source of the phase's
+// events. A replay cell holds a verified trace of the measured segment
+// and nothing else; a live cell holds the workload whose Go-side state
+// Setup built through env, whose sink sw drives m — directly, through a
+// Tee into record, or from Discard until a fork's replayed prefix ends.
 type readyCell struct {
-	m   *sim.Machine
-	w   workload.Workload
-	env *workload.Env
+	m      *sim.Machine
+	w      workload.Workload
+	env    *workload.Env
+	sw     *sinkSwitch
+	replay []byte
+	record *traceRecording
 }
 
 // measure runs the cell's measured operations with rec (if any) stamped
-// and attached, and fails the cell on any fault.
-func (c readyCell) measure(name string, scheme Scheme, cfg Config, rec *obs.Recorder) (Result, error) {
+// and attached, and fails the cell on any fault. A replay cell's events
+// come from its trace, a live cell's from the workload's Run; a live
+// cell that records publishes its trace only when it raised no fault.
+func (c readyCell) measure(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder) (Result, error) {
 	m := c.m
 	var start time.Time
 	if rec != nil {
 		// The manifest records the resolved (default-filled) parameters.
-		rp := c.env.P
+		rp := p.Defaults()
 		rec.SetManifest(obs.Manifest{
 			Scheme:      string(scheme),
 			Workload:    name,
@@ -128,7 +139,12 @@ func (c readyCell) measure(name string, scheme Scheme, cfg Config, rec *obs.Reco
 		m.SetRecorder(rec)
 		start = time.Now()
 	}
-	runErr := c.w.Run(c.env)
+	var runErr error
+	if c.replay != nil {
+		_, runErr = trace.Replay(bytes.NewReader(c.replay), m)
+	} else {
+		runErr = c.w.Run(c.env)
+	}
 	if rec != nil {
 		rec.StampWall(time.Since(start))
 		m.FlushObs()
@@ -140,6 +156,9 @@ func (c readyCell) measure(name string, scheme Scheme, cfg Config, rec *obs.Reco
 	if res.Counters.DomainFaults > 0 || res.Counters.PageFaults > 0 {
 		return res, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
 			name, scheme, res.Counters.DomainFaults, res.Counters.PageFaults, m.Faults())
+	}
+	if c.record != nil {
+		c.record.publish()
 	}
 	return res, nil
 }

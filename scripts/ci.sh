@@ -10,7 +10,8 @@
 # behind pmorouter surviving a mid-load node kill with zero errors and
 # zero isolation violations), the deterministic-replay grid gates (the
 # same grid sequential vs. parallel, vs. two fresh processes sharing a
-# persistent -snapshot-dir with zero warm-run warmups, vs. a
+# persistent -snapshot-dir with zero warm-run warmups and every warm
+# cell replayed from a stored trace, vs. a
 # distributed sweep over two pmoworkers with one SIGKILLed mid-run —
 # all byte-identical), and the RESULTS.md drift check.
 # Run from the repo root.
@@ -173,18 +174,27 @@ diff -r "$obsdir/gridseq-obs" "$obsdir/gridpar-obs" \
     || { echo "parallel+snapshot grid obs exports diverged from sequential" >&2; exit 1; }
 
 # Persistent snapshot store gate: the same grid run by two FRESH
-# processes sharing one -snapshot-dir. The first populates the store;
-# the second must report zero warmup re-simulations on its cache-stats
-# stderr line and still match the sequential run byte-for-byte.
+# processes sharing one -snapshot-dir. The first populates the store
+# with one checkpoint per cell (24) and one measured-segment trace per
+# Table V workload (6); the second must report zero warmup
+# re-simulations and a replayed trace for every cell on its cache-stats
+# stderr line, and still match the sequential run byte-for-byte.
 "$obsdir/pmobench" -experiment table5 -ops 2000 -quiet \
     -snapshot-dir "$obsdir/snapstore" \
     -csv "$obsdir/gridcold" -obs-out "$obsdir/gridcold-obs" -obs-epoch 20000 >/dev/null
+snaps=$(find "$obsdir/snapstore" -name '*.pmosnap' | wc -l)
+traces=$(find "$obsdir/snapstore" -name '*.pmotrace' | wc -l)
+[ "$snaps" -eq 24 ] && [ "$traces" -eq 6 ] \
+    || { echo "cold grid stored $snaps snapshots and $traces traces, want 24 and 6" >&2; exit 1; }
 "$obsdir/pmobench" -experiment table5 -ops 2000 -quiet \
     -snapshot-dir "$obsdir/snapstore" \
     -csv "$obsdir/gridwarm" -obs-out "$obsdir/gridwarm-obs" -obs-epoch 20000 \
     >/dev/null 2>"$obsdir/gridwarm.err"
 grep -q 'snapshot cache: warmups=0 ' "$obsdir/gridwarm.err" \
     || { echo "primed snapshot store still re-simulated warmups:" >&2; \
+         cat "$obsdir/gridwarm.err" >&2; exit 1; }
+grep -q 'traces_replayed=24 traces_recorded=0$' "$obsdir/gridwarm.err" \
+    || { echo "primed snapshot store did not replay every cell's trace:" >&2; \
          cat "$obsdir/gridwarm.err" >&2; exit 1; }
 diff -r "$obsdir/gridseq" "$obsdir/gridcold" && diff -r "$obsdir/gridseq" "$obsdir/gridwarm" \
     || { echo "persistent-store grid CSV diverged from sequential" >&2; exit 1; }

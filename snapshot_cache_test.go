@@ -134,9 +134,10 @@ func TestSnapshotCacheCostIndependence(t *testing.T) {
 // export byte-identical artifacts to the uncached observed path —
 // manifests, epoch series, and histograms alike. One-cell grids cover
 // each way a cache serves a warmup: the cell that builds the checkpoint
-// (and runs on the machine it built), a memory hit that forks, and a
-// disk hit in a fresh cache over the primed directory (which runs on the
-// machine that validated the file).
+// (and runs live on the machine it built, recording the trace), a
+// memory hit, and a disk hit in a fresh cache over the primed directory
+// (on the machine that validated the file). The last two replay the
+// recorded trace with the recorder attached.
 func TestSnapshotCacheObservedExports(t *testing.T) {
 	grid := func(cache *domainvirt.SnapshotCache) map[string][]byte {
 		t.Helper()
@@ -158,10 +159,12 @@ func TestSnapshotCacheObservedExports(t *testing.T) {
 	if st := cache.Stats(); st.Warmups != 1 || st.MemHits != 0 {
 		t.Fatalf("cache-building grid: stats %+v, want 1 warmup", st)
 	}
+	checkTraceStats(t, "cache-building grid", cache, 0, 1)
 	mem := grid(cache)
 	if st := cache.Stats(); st.Warmups != 1 || st.MemHits != 1 {
 		t.Fatalf("memory-hit grid: stats %+v, want 1 memory hit", st)
 	}
+	checkTraceStats(t, "memory-hit grid", cache, 1, 1)
 	disk, err := domainvirt.NewSnapshotCacheDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +173,7 @@ func TestSnapshotCacheObservedExports(t *testing.T) {
 	if st := disk.Stats(); st.DiskHits != 1 || st.Warmups != 0 {
 		t.Fatalf("fresh cache over the primed store: stats %+v, want 1 disk hit", st)
 	}
+	checkTraceStats(t, "disk-hit grid", disk, 1, 0)
 
 	if len(want) == 0 {
 		t.Fatal("uncached observed grid exported nothing")
