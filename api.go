@@ -16,8 +16,6 @@
 package domainvirt
 
 import (
-	"context"
-
 	"domainvirt/internal/cluster"
 	"domainvirt/internal/conformance"
 	"domainvirt/internal/core"
@@ -81,9 +79,6 @@ func NewStore() *Store { return pmo.NewStore() }
 // NewSpace creates an address space; sink may be a *Machine (simulation)
 // or nil (plain library use).
 func NewSpace(sink trace.Sink) *Space { return pmo.NewSpace(sink) }
-
-// MakeOID builds an OID from a pool ID and offset.
-func MakeOID(pool, off uint32) OID { return pmo.MakeOID(pool, off) }
 
 // Begin starts a durable transaction on pool.
 func Begin(pool *Pool) (*Tx, error) { return txn.Begin(pool) }
@@ -173,8 +168,6 @@ type (
 	// Manifest identifies one observed run (scheme, workload, seed,
 	// parameters, config hash, tool version).
 	Manifest = obs.Manifest
-	// ObsSample is one epoch-boundary snapshot of counter deltas.
-	ObsSample = obs.Sample
 	// Histogram is a mergeable log2-bucketed latency histogram.
 	Histogram = obs.Histogram
 )
@@ -260,12 +253,6 @@ func NewServer(opts ServeOptions) *Server { return serve.NewServer(opts) }
 
 // DialServer connects a closed-loop client to a pmod daemon.
 func DialServer(addr string) (*ServeClient, error) { return serve.Dial(addr) }
-
-// DialServerContext is DialServer under a dial context (deadline or
-// cancellation).
-func DialServerContext(ctx context.Context, addr string) (*ServeClient, error) {
-	return serve.DialContext(ctx, addr)
-}
 
 // RunLoad drives a pmod daemon with concurrent closed-loop clients and
 // aggregates throughput, typed-error counts, isolation checks, and

@@ -18,7 +18,8 @@
 // and the per-scheme results aggregate across segments. With -scheme
 // all the same captured traffic runs through every protection engine —
 // a paired experiment on production traffic — and -obs-out exports a
-// manifest, series files, and latency histograms per scheme.
+// manifest, series files, and latency histograms per segment and scheme,
+// named <segment>-<scheme>-*.
 package main
 
 import (
@@ -57,8 +58,7 @@ func main() {
 		out      = fs.String("o", "", "output trace file (record)")
 		in       = fs.String("i", "", "input trace file or capture directory (stat, audit, replay)")
 		scheme   = fs.String("scheme", "domainvirt", "protection scheme, or \"all\" for every engine (replay)")
-		workers  = fs.Int("workers", 1, "partitioned parallel replay workers (replay; 1 = sequential, 0 = GOMAXPROCS)")
-		obsOut   = fs.String("obs-out", "", "export per-scheme manifests/series/histograms into this directory (replay)")
+		obsOut   = fs.String("obs-out", "", "export per-file, per-scheme manifests/series/histograms into this directory (replay)")
 		obsEpoch = fs.Uint64("obs-epoch", 0, "obs sampling epoch in retired instructions (0 = totals only)")
 	)
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -126,7 +126,7 @@ func main() {
 			if len(schemes) > 1 {
 				fmt.Printf("--- scheme %s ---\n", sc)
 			}
-			res, n := replayScheme(files, sc, cfg, *in, *obsOut, *obsEpoch, *workers)
+			res, n := replayScheme(files, sc, cfg, *obsOut, *obsEpoch)
 			fmt.Printf("replayed %d events under %s: %d cycles\n", n, sc, res.Cycles)
 			fmt.Printf("  switches/sec: %.0f\n", res.SwitchesPerSec(cfg.ClockHz))
 			fmt.Printf("  domain/page faults: %d / %d\n", res.Counters.DomainFaults, res.Counters.PageFaults)
@@ -187,40 +187,24 @@ func record(name, path string, p domainvirt.Params) error {
 }
 
 // replayScheme runs every input file through a fresh machine under one
-// scheme and aggregates the results. With obsOut set, one recorder
-// accumulates latency histograms across all segments and the export set
-// (manifest, series, histograms) lands in that directory.
-//
-// With workers != 1 each segment replays through a partitioned parallel
-// plan (sim.ReplayPlan): the trace splits at safe boundaries, partitions
-// run concurrently from prefix checkpoints, and every partition's end
-// state is verified against the next checkpoint — the parallel run is
-// its own conformance check and the results are bit-identical to the
-// sequential path. Observed export keeps one recorder across segments,
-// which is inherently sequential, so multi-segment observed inputs fall
-// back to workers=1.
-func replayScheme(files []string, scheme string, cfg domainvirt.Config, in, obsOut string, epoch uint64, workers int) (stats.Result, uint64) {
-	if workers != 1 && obsOut != "" && len(files) > 1 {
-		fmt.Println("  multi-segment observed replay shares one recorder; running sequentially")
-		workers = 1
-	}
-	if workers != 1 {
-		return replaySchemePartitioned(files, scheme, cfg, in, obsOut, epoch, workers)
-	}
-	var rec *obs.Recorder
-	if obsOut != "" {
-		rec = obs.NewRecorder(obs.Options{Epoch: epoch})
-	}
+// scheme and aggregates the results. With obsOut set, every file gets
+// its own recorder, and its export set (manifest, series, histograms)
+// lands in that directory under the file's name.
+func replayScheme(files []string, scheme string, cfg domainvirt.Config, obsOut string, epoch uint64) (stats.Result, uint64) {
 	agg := stats.Result{Scheme: scheme}
 	var events uint64
-	for i, path := range files {
+	for _, path := range files {
 		m := domainvirt.NewMachine(cfg, domainvirt.Scheme(scheme))
-		if rec != nil {
+		var rec *obs.Recorder
+		if obsOut != "" {
+			rec = obs.NewRecorder(obs.Options{Epoch: epoch})
 			m.SetRecorder(rec)
 		}
-		events += replayInto(path, m)
-		if rec != nil && i == len(files)-1 {
+		n := replayInto(path, m)
+		events += n
+		if rec != nil {
 			m.FlushObs()
+			export(rec, scheme, cfg, path, obsOut, n)
 		}
 		res := m.Result()
 		agg.Cycles += res.Cycles
@@ -228,66 +212,14 @@ func replayScheme(files []string, scheme string, cfg domainvirt.Config, in, obsO
 		agg.Breakdown.Merge(&res.Breakdown)
 		agg.Counters.Merge(&res.Counters)
 	}
-	if rec != nil {
-		export(rec, scheme, cfg, in, obsOut, events)
-	}
 	return agg, events
 }
 
-// replaySchemePartitioned is the workers != 1 replay path: per segment,
-// a planning pass records the sequential reference and checkpoints every
-// partition boundary, then the partitions re-run concurrently and each
-// one must land exactly on the next checkpoint. Segment results
-// aggregate in file order, as in the sequential path.
-func replaySchemePartitioned(files []string, scheme string, cfg domainvirt.Config, in, obsOut string, epoch uint64, workers int) (stats.Result, uint64) {
-	agg := stats.Result{Scheme: scheme}
-	var events uint64
-	var rec *obs.Recorder
-	var parts int
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		planEpoch := uint64(0)
-		if obsOut != "" {
-			planEpoch = epoch
-		}
-		plan, err := sim.NewReplayPlan(data, cfg, domainvirt.Scheme(scheme), sim.ReplayPlanOptions{
-			MaxPartitions: workers,
-			Epoch:         planEpoch,
-		})
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		var res stats.Result
-		if obsOut != "" {
-			res, rec, err = plan.ReplayObserved(workers, obs.Options{Epoch: epoch})
-		} else {
-			res, _, err = plan.Replay(workers)
-		}
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		events += plan.Events()
-		parts += plan.Partitions()
-		agg.Cycles += res.Cycles
-		agg.WorkSum += res.WorkSum
-		agg.Breakdown.Merge(&res.Breakdown)
-		agg.Counters.Merge(&res.Counters)
-	}
-	fmt.Printf("  partitioned replay: %d partition(s) across %d file(s), %d workers, all boundary checkpoints verified\n",
-		parts, len(files), workers)
-	if rec != nil {
-		export(rec, scheme, cfg, in, obsOut, events)
-	}
-	return agg, events
-}
-
-// export stamps rec's manifest for a replay of events events from in
-// and writes its export set into obsOut.
-func export(rec *obs.Recorder, scheme string, cfg domainvirt.Config, in, obsOut string, events uint64) {
-	name := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
+// export stamps rec's manifest for a replay of events events from the
+// trace file path and writes its export set into obsOut, named
+// <file>-<scheme>-* after path's base name without its extension.
+func export(rec *obs.Recorder, scheme string, cfg domainvirt.Config, path, obsOut string, events uint64) {
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	rec.SetManifest(obs.Manifest{
 		Scheme:      scheme,
 		Workload:    "trace:" + name,

@@ -578,14 +578,6 @@ func (p *proxyConn) respondWireErr(id uint32, werr *serve.WireError) bool {
 	return p.respondErr(id, werr.Code, werr.Msg)
 }
 
-// IsUnavailable reports whether err is the cluster tier's typed
-// owner-backend-down error (the one pmoload's -tolerate-unavailable
-// accepts while a node is being restarted).
-func IsUnavailable(err error) bool {
-	var se *serve.ServerError
-	return errors.As(err, &se) && se.Code == serve.ErrUnavailable
-}
-
 // statsBuf is a minimal append-only io.Writer for rendering metrics.
 type statsBuf struct{ b []byte }
 

@@ -55,9 +55,6 @@ func PageBase(va VA) VA { return va &^ (PageSize - 1) }
 // PageOffset returns the offset of va within its 4 KB page.
 func PageOffset(va VA) uint64 { return uint64(va) & (PageSize - 1) }
 
-// FrameBase returns the base address of the 4 KB frame containing pa.
-func FrameBase(pa PA) PA { return pa &^ (PageSize - 1) }
-
 // Region is a contiguous virtual address range [Base, Base+Size).
 // PMO regions are aligned to a radix level granularity as required by the
 // paper: "A PMO can map only to an aligned and contiguous range of virtual

@@ -71,9 +71,8 @@ type Recorder struct {
 	access  Histogram
 	setperm Histogram
 
-	last      MachineState
-	evAccum   [][stats.NumEventKinds]uint64
-	epochBase int
+	last    MachineState
+	evAccum [][stats.NumEventKinds]uint64
 
 	final    MachineState
 	finished bool
@@ -124,7 +123,7 @@ func (r *Recorder) Event(core int, kind stats.EventKind, n uint64) {
 // previous sample point, plus the engine events accumulated since.
 func (r *Recorder) TakeSample(st MachineState) {
 	s := Sample{
-		Epoch:     r.epochBase + len(r.samples),
+		Epoch:     len(r.samples),
 		Retired:   st.Retired,
 		Counters:  st.Counters.Sub(r.last.Counters),
 		Breakdown: st.Breakdown.Sub(r.last.Breakdown),
@@ -166,69 +165,6 @@ func (r *Recorder) Finish(st MachineState) {
 	}
 	r.final = st
 	r.finished = true
-}
-
-// RecorderState is the sampler's cumulative position: the machine state
-// at the last sample boundary, the number of samples taken so far, and
-// the engine events accumulated since that boundary. State captures it
-// and Seed reinstates it into a fresh Recorder, so a partition-local
-// recorder continues a sequential recording mid-run — its first sample's
-// deltas, epoch number, and folded events come out exactly as the
-// sequential recorder would have produced them. Histograms are not part
-// of the state: they are pure sums, so per-partition histograms merge
-// back losslessly in Absorb.
-type RecorderState struct {
-	Last    MachineState
-	Samples int
-	EvAccum [][stats.NumEventKinds]uint64
-}
-
-// State captures the sampler position as a deep copy.
-func (r *Recorder) State() RecorderState {
-	st := RecorderState{
-		Last:    r.last,
-		Samples: r.epochBase + len(r.samples),
-		EvAccum: make([][stats.NumEventKinds]uint64, len(r.evAccum)),
-	}
-	st.Last.Cores = append([]CoreState(nil), r.last.Cores...)
-	copy(st.EvAccum, r.evAccum)
-	return st
-}
-
-// Seed positions an empty recorder mid-run, as if it had already taken
-// st.Samples samples and stood at st.Last. Seeding a recorder that has
-// already sampled is a programming error.
-func (r *Recorder) Seed(st RecorderState) {
-	if len(r.samples) > 0 || r.finished {
-		panic("obs: Seed on a recorder already in use")
-	}
-	r.last = st.Last
-	r.last.Cores = append([]CoreState(nil), st.Last.Cores...)
-	r.epochBase = st.Samples
-	r.evAccum = make([][stats.NumEventKinds]uint64, len(st.EvAccum))
-	copy(r.evAccum, st.EvAccum)
-}
-
-// Absorb splices a partition recorder's output onto r: samples append in
-// order (their epoch numbers already continue r's, via Seed), histograms
-// merge, and r adopts the partition's cumulative tail position. Absorbing
-// the partitions of a split run in partition order reproduces, field for
-// field, the recorder a sequential replay would have produced.
-func (r *Recorder) Absorb(part *Recorder) {
-	if r.finished {
-		panic("obs: Absorb into a finished recorder")
-	}
-	r.samples = append(r.samples, part.samples...)
-	r.access.Merge(&part.access)
-	r.setperm.Merge(&part.setperm)
-	r.last = part.last
-	r.evAccum = part.evAccum
-	// Keep epochBase+len(samples) equal to the next epoch number.
-	r.epochBase = part.epochBase + len(part.samples) - len(r.samples)
-	if part.finished {
-		r.final = part.final
-		r.finished = true
-	}
 }
 
 // Samples returns the recorded time series.

@@ -1,7 +1,6 @@
 // Package par runs independent, indexed units of work on a bounded pool
 // of goroutines. It is the one worker pool of the experiment path: grid
-// cells (through internal/sweep) and trace-replay partitions both run on
-// it.
+// cells run on it through internal/sweep.
 package par
 
 import (

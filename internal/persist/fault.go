@@ -127,7 +127,6 @@ type FaultConfig struct {
 type Journal struct {
 	mu    sync.Mutex
 	pools map[uint32]*pmo.Pool
-	order []uint32          // pool IDs in arm order
 	base  map[uint32][]byte // image of each pool at arm time
 	steps []Step
 }
@@ -150,7 +149,6 @@ func (j *Journal) Arm(p *pmo.Pool) {
 		return
 	}
 	j.pools[id] = p
-	j.order = append(j.order, id)
 	j.mu.Unlock()
 	// Snapshot outside j.mu: CopyImage takes the pool lock.
 	img := p.CopyImage()
@@ -201,15 +199,6 @@ func (j *Journal) Steps() []Step {
 	defer j.mu.Unlock()
 	out := make([]Step, len(j.steps))
 	copy(out, j.steps)
-	return out
-}
-
-// PoolIDs returns the armed pool IDs in arm order.
-func (j *Journal) PoolIDs() []uint32 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]uint32, len(j.order))
-	copy(out, j.order)
 	return out
 }
 

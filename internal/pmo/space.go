@@ -171,14 +171,6 @@ func (s *Space) Instr(n uint64) {
 	}
 }
 
-// AttachmentOf returns the attachment of pool id, if attached.
-func (s *Space) AttachmentOf(id uint32) (*Attachment, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.attached[id]
-	return a, ok
-}
-
 // Direct translates an OID to its current virtual address (Table I
 // oid_direct). It fails when the OID's pool is not attached.
 func (s *Space) Direct(o OID) (memlayout.VA, error) {

@@ -607,7 +607,8 @@ func appendResponse(dst []byte, resp *Response) []byte {
 }
 
 // ParseResponse decodes a response payload. wantSID tells the parser the
-// OK body carries a session ID (OPEN) rather than raw data.
+// OK body carries a session ID (OPEN) rather than raw data. SID 0 means
+// "no session" to the server, so an OPEN OK carrying it is malformed.
 func ParseResponse(payload []byte, wantSID bool) (*Response, *WireError) {
 	resp := &Response{}
 	if werr := parseResponseInto(resp, payload, wantSID); werr != nil {
@@ -639,6 +640,9 @@ func parseResponseInto(resp *Response, payload []byte, wantSID bool) *WireError 
 			resp.SID = r.u64()
 			if r.bad {
 				return wireErr(ErrBadFrame, "serve: truncated open response")
+			}
+			if resp.SID == 0 {
+				return wireErr(ErrBadFrame, "serve: open response with session ID 0")
 			}
 		} else {
 			resp.Data = r.b[r.off:]

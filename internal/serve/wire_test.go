@@ -163,6 +163,43 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
+// FuzzParseResponse throws arbitrary bytes at the response decoder the
+// client and the router's backend connections parse upstream frames
+// with, both as an OPEN answer and as any other: no panic, and a payload
+// it accepts must re-encode with AppendResponse and parse back to an
+// equal Response.
+func FuzzParseResponse(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{byte(StatusOK), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, true)
+	for _, c := range []struct {
+		resp    *Response
+		wantSID bool
+	}{
+		{&Response{Status: StatusOK, ID: 1, SID: 77}, true},
+		{&Response{Status: StatusOK, ID: 2, Data: []byte("hello")}, false},
+		{&Response{Status: StatusOK, ID: 3}, false},
+		{&Response{Status: StatusErr, ID: 4, Code: ErrDenied, Msg: "no"}, false},
+		{&Response{Status: StatusErr, ID: 5, Code: ErrUnavailable, Msg: "down"}, true},
+		{&Response{Status: StatusRetry, ID: 6}, true},
+	} {
+		f.Add(EncodeResponse(c.resp), c.wantSID)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, wantSID bool) {
+		resp, werr := ParseResponse(payload, wantSID)
+		if werr != nil {
+			return
+		}
+		again, werr := ParseResponse(AppendResponse(nil, resp), wantSID)
+		if werr != nil {
+			t.Fatalf("re-encode of %+v failed to parse: %v", resp, werr)
+		}
+		if again.Status != resp.Status || again.ID != resp.ID || again.Code != resp.Code ||
+			again.Msg != resp.Msg || again.SID != resp.SID || !bytes.Equal(again.Data, resp.Data) {
+			t.Fatalf("re-encode changed the response: %+v != %+v", again, resp)
+		}
+	})
+}
+
 // TestFrameIO covers the length-prefix layer: clean EOF, partial
 // frames, and oversized declarations.
 func TestFrameIO(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // it holds: a change to their fields changes the bytes and must bump it,
 // so stale store files miss instead of misdecoding. The codec tests pin
 // each scheme's encoding by hash, and fail until it is bumped.
-const SnapshotCodecVersion uint32 = 2
+const SnapshotCodecVersion uint32 = 3
 
 // snapMagic opens every encoded snapshot.
 const snapMagic = "PMOSNAP\x00"

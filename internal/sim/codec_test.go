@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
 )
 
@@ -67,12 +66,12 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 // stores holding the old format miss instead of misdecoding, and re-pin.
 func TestSnapshotCodecGolden(t *testing.T) {
 	want := map[sim.Scheme]string{
-		sim.SchemeBaseline:   "720626e1bfef87d2eee0b467cc0f6bc5d543b421892777c8e06bf3a357a171ea",
-		sim.SchemeLowerbound: "f853d24c2999292807f904fe328912fcd5b47ab743badd520ed3df4d4b848700",
-		sim.SchemeMPK:        "035dd197eb4518cb720e34939b1a1846aee37005f2f1f592d5b40062f6b7a1a0",
-		sim.SchemeLibmpk:     "af25e296bfaf9d605734bbcab918434cc9014aeeaa3e3c383665a93bc333448c",
-		sim.SchemeMPKVirt:    "9faa8f777cf08a7f6d0672a8ec9d2c944f385f241b2d3a43a495e64008f64e4b",
-		sim.SchemeDomainVirt: "012702d08b24d7ec82eed47f777b9f389ac37e1b4dab5f3082a1804a21ffc91d",
+		sim.SchemeBaseline:   "fd4b9e90fb01b0d1e477b7985ffee4840d5d47cd7b97ba2f705760f618274be4",
+		sim.SchemeLowerbound: "297033552f856bda2ad92681b0a508236d421473b6bfdcfa08335351a9006e60",
+		sim.SchemeMPK:        "60a929287c251f8938caa064d235e7d97d9b1a52ff18f7328cfdc54cf23b95ca",
+		sim.SchemeLibmpk:     "78f1053e2dd59f1a78bd7735228f3d31ee2dd408ffb12190af682ad0ca66c208",
+		sim.SchemeMPKVirt:    "a8518d720e411eeb5fb42eabddb1131c84843ec784fd30aaf853619f5f167af4",
+		sim.SchemeDomainVirt: "4f677840c8500fba7d007356c9a1a4f340392a8aec10f13606a0cbc41d6a2da1",
 	}
 	for _, s := range sim.AllSchemes {
 		snap, _, _ := codecSnapshot(t, s)
@@ -115,43 +114,6 @@ func TestSnapshotCodecDeterministic(t *testing.T) {
 				t.Error("re-encoding the same snapshot is not stable")
 			}
 		})
-	}
-}
-
-// TestSnapshotCodecRoundTripObserved covers the recorder-position field:
-// a snapshot taken mid-observed-run must carry the sampler state through
-// the binary format.
-func TestSnapshotCodecRoundTripObserved(t *testing.T) {
-	s := sim.SchemeDomainVirt
-	nd := snapDomains(s)
-	cfg := snapConfig()
-	m := sim.NewMachine(cfg, s)
-	m.SetRecorder(obs.NewRecorder(obs.Options{Epoch: 500}))
-	snapDrivePrefix(t, m, nd)
-	snap := m.Snapshot()
-
-	wantRec, wantHas := snap.RecorderState()
-	if !wantHas {
-		t.Fatal("expected recorder state in snapshot")
-	}
-	data, err := sim.EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := sim.DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRec, gotHas := decoded.RecorderState()
-	if !gotHas {
-		t.Fatal("recorder state lost in round trip")
-	}
-	if gotRec.Samples != wantRec.Samples || gotRec.Last.Retired != wantRec.Last.Retired {
-		t.Errorf("recorder state diverged: got %+v want %+v", gotRec, wantRec)
-	}
-	if len(gotRec.Last.Cores) != len(wantRec.Last.Cores) {
-		t.Errorf("recorder core state count diverged: got %d want %d",
-			len(gotRec.Last.Cores), len(wantRec.Last.Cores))
 	}
 }
 

@@ -8,7 +8,7 @@
 // All results the harness reports are relative overheads of a protected run
 // against a baseline run of the identical event stream, so the fixed-CPI
 // front end substituted for Sniper's out-of-order core cancels to first
-// order; OverlapFactor exposes the residual sensitivity for ablations.
+// order.
 package sim
 
 import (

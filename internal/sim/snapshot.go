@@ -6,7 +6,6 @@ import (
 	"domainvirt/internal/cache"
 	"domainvirt/internal/core"
 	"domainvirt/internal/mem"
-	"domainvirt/internal/obs"
 	"domainvirt/internal/pagetable"
 	"domainvirt/internal/stats"
 	"domainvirt/internal/tlb"
@@ -15,9 +14,8 @@ import (
 // Snapshot is a deep copy of a Machine's full simulated state: counters
 // and breakdown, fault records, the attach table and its span index,
 // thread affinity, the page table, the memory model, the whole cache
-// hierarchy, every core's TLBs and invalidation debt, the engine state
-// (via core.Snapshotter), and — when a recorder is attached — the
-// sampler position.
+// hierarchy, every core's TLBs and invalidation debt, and the engine
+// state (via core.Snapshotter).
 //
 // A snapshot is immutable once taken: Restore deep-copies out of it,
 // never into it, so one snapshot can seed any number of machines,
@@ -26,10 +24,11 @@ import (
 // no-longer-restoring-from-it guarantee.
 //
 // Not captured: the Bind-time wiring a machine owns for its lifetime —
-// the recorder pointer itself (SetRecorder), the SETPERM inspector
-// (SetInspector), and the engine's hooks/accounting bindings. The L0
-// micro-TLBs are also excluded: their slots are invalidated on restore,
-// which is behavior-preserving by the DisableFastPath A/B invariant.
+// the recorder and its sampler position (SetRecorder), the SETPERM
+// inspector (SetInspector), and the engine's hooks/accounting bindings.
+// The L0 micro-TLBs are also excluded: their slots are invalidated on
+// restore, which is behavior-preserving by the DisableFastPath A/B
+// invariant.
 type Snapshot struct {
 	scheme string
 	ncores int
@@ -48,10 +47,6 @@ type Snapshot struct {
 	caches *cache.HierarchyState
 	cores  []coreSnap
 	eng    core.EngineState
-
-	recNext  uint64
-	hasRec   bool
-	recState obs.RecorderState
 }
 
 type coreSnap struct {
@@ -79,10 +74,8 @@ func (m *Machine) Snapshot() *Snapshot {
 }
 
 // SnapshotInto overwrites s with a fresh capture, reusing s's allocated
-// buffers where geometries match — the pooled path for snapshot-heavy
-// sweeps (checkpoint passes take one snapshot per partition boundary).
-// The previous contents of s become invalid; the caller must not be
-// restoring from them concurrently.
+// buffers where geometries match. The previous contents of s become
+// invalid; the caller must not be restoring from them concurrently.
 func (m *Machine) SnapshotInto(s *Snapshot) {
 	snapper, ok := m.engine.(core.Snapshotter)
 	if !ok {
@@ -144,12 +137,6 @@ func (m *Machine) SnapshotInto(s *Snapshot) {
 	}
 
 	s.eng = snapper.SnapshotState()
-
-	s.recNext = m.recNext
-	s.hasRec = m.rec != nil
-	if s.hasRec {
-		s.recState = m.rec.State()
-	}
 }
 
 // Restore reinstates a snapshot into m: afterwards m's simulated state is
@@ -160,10 +147,10 @@ func (m *Machine) SnapshotInto(s *Snapshot) {
 // differ — they are pure accounting, so a snapshot taken after a stats
 // reset seeds cells of a cost-parameter sweep directly.
 //
-// Ordering with SetRecorder: Restore reinstates the sampler boundary
-// (recNext) verbatim, so to continue an observed run attach the (seeded)
-// recorder first and Restore second. For a fork that starts fresh
-// observation instead, Restore first and SetRecorder second.
+// Restore leaves the recorder and its sampler boundary alone. To observe
+// a run that continues from a snapshot, attach a new recorder with
+// SetRecorder after Restore, as a cell's measured phase does on its
+// post-ResetStats checkpoint.
 func (m *Machine) Restore(s *Snapshot) {
 	if s.scheme != m.engine.Name() {
 		panic(fmt.Sprintf("sim: Restore scheme mismatch: snapshot %q, machine %q", s.scheme, m.engine.Name()))
@@ -219,13 +206,4 @@ func (m *Machine) Restore(s *Snapshot) {
 	// The thread→core memo may point at stale placement; coreFor re-derives
 	// it (a re-resolution of an unchanged thread is a no-op).
 	m.curTh, m.curCore = 0, nil
-
-	m.recNext = s.recNext
-}
-
-// RecorderState returns the sampler position captured with the snapshot,
-// and whether a recorder was attached at capture time. Seed a fresh
-// recorder with it to continue an observed run from this snapshot.
-func (s *Snapshot) RecorderState() (obs.RecorderState, bool) {
-	return s.recState, s.hasRec
 }

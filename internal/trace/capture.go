@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"io"
 	"maps"
 	"slices"
@@ -117,16 +116,6 @@ func NewCapture(opts CaptureOptions) *Capture {
 	return c
 }
 
-// NewFileCapture is a convenience constructor: segment seg is created
-// at pathFor(seg).
-func NewFileCapture(pathFor func(seg int) string, create func(path string) (io.WriteCloser, error), maxSegmentBytes int64, bufferBytes int) *Capture {
-	return NewCapture(CaptureOptions{
-		Open:            func(seg int) (io.WriteCloser, error) { return create(pathFor(seg)) },
-		MaxSegmentBytes: maxSegmentBytes,
-		BufferBytes:     bufferBytes,
-	})
-}
-
 // Err returns the first flusher error, if any.
 func (c *Capture) Err() error {
 	if p := c.err.Load(); p != nil {
@@ -199,7 +188,7 @@ func (c *Capture) rotateLocked() {
 	c.seg++
 	c.segments.Add(1)
 	c.segBytes = 0
-	c.enc.va = newVAState(nil)
+	c.enc.va = newVAState()
 
 	for _, d := range slices.Sorted(maps.Keys(c.attached)) {
 		a := c.attached[d]
@@ -469,7 +458,3 @@ func (s *withVerdicts) Fetch(th core.ThreadID, va memlayout.VA) bool {
 }
 
 var _ Sink = (*withVerdicts)(nil)
-
-// ErrCaptureDropped is returned by audits that require a loss-free
-// capture when drops occurred.
-var ErrCaptureDropped = errors.New("trace: capture dropped events under backpressure")

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 
 	"domainvirt/internal/core"
 	"domainvirt/internal/memlayout"
@@ -60,11 +59,10 @@ type vaState struct {
 	last map[core.ThreadID]memlayout.VA
 }
 
-// newVAState returns the state seed describes, with thread 0 current.
-func newVAState(seed map[core.ThreadID]memlayout.VA) vaState {
-	last := make(map[core.ThreadID]memlayout.VA, len(seed))
-	maps.Copy(last, seed)
-	return vaState{va: last[0], last: last}
+// newVAState returns the state at the start of a trace: every thread's
+// last VA is 0, and thread 0 is current.
+func newVAState() vaState {
+	return vaState{last: make(map[core.ThreadID]memlayout.VA)}
 }
 
 // of makes th the current thread and returns its last VA for update.
@@ -93,20 +91,13 @@ func (s *vaState) apply(th core.ThreadID, u uint64) memlayout.VA {
 	return *last
 }
 
-// snapshot returns every thread's last VA as one map.
-func (s *vaState) snapshot() map[core.ThreadID]memlayout.VA {
-	m := maps.Clone(s.last)
-	m[s.th] = s.va
-	return m
-}
-
 // encoder appends events in the binary trace format to buf.
 type encoder struct {
 	buf []byte
 	va  vaState
 }
 
-func newEncoder(buf []byte) encoder { return encoder{buf: buf, va: newVAState(nil)} }
+func newEncoder(buf []byte) encoder { return encoder{buf: buf, va: newVAState()} }
 
 // event appends a kind byte and its fields as uvarints.
 func (e *encoder) event(kind uint8, fields ...uint64) {
@@ -154,10 +145,10 @@ type decoder struct {
 	va   vaState
 }
 
-// newDecoder returns a decoder at data[pos:] whose VA state starts from
-// lastVA (nil for the start of a trace).
-func newDecoder(data []byte, pos int, lastVA map[core.ThreadID]memlayout.VA) decoder {
-	return decoder{data: data, pos: pos, va: newVAState(lastVA)}
+// newDecoder returns a decoder at data[pos:] whose VA state is that of
+// the start of a trace.
+func newDecoder(data []byte, pos int) decoder {
+	return decoder{data: data, pos: pos, va: newVAState()}
 }
 
 // fail latches err unless an earlier error is latched, and moves the
@@ -197,17 +188,6 @@ func (d *decoder) fits(v uint64, bits uint) bool {
 		return false
 	}
 	return true
-}
-
-// peek returns the kind byte of the event at the cursor and its first
-// field read as a thread, consuming neither; 0, 0 at the end of data.
-// The thread is meaningful only for kinds whose first field is one.
-func (d *decoder) peek() (uint8, core.ThreadID) {
-	if d.pos >= len(d.data) {
-		return 0, 0
-	}
-	th, _ := binary.Uvarint(d.data[d.pos+1:])
-	return d.data[d.pos], core.ThreadID(th)
 }
 
 // next decodes one event and delivers it to sink. It returns the

@@ -80,6 +80,26 @@ func TestTraceFormatGolden(t *testing.T) {
 	}
 }
 
+// decodeWhole runs one decoder over all of data up to the end marker,
+// as Replay would with a window the size of the trace. It is the
+// reference that Replay's window refills are checked against.
+func decodeWhole(data []byte, sink Sink) (uint64, error) {
+	if len(data) < len(fileMagic) || [8]byte(data[:8]) != fileMagic {
+		return 0, errBadMagic
+	}
+	d := newDecoder(data, len(fileMagic))
+	var n uint64
+	for {
+		switch d.next(sink) {
+		case evEnd:
+			return n, nil
+		case 0:
+			return n, d.err
+		}
+		n++
+	}
+}
+
 // rawTrace builds a trace from events given as raw wire fields, so a
 // test can write values no Sink method can express.
 func rawTrace(events ...[]uint64) []byte {
@@ -94,7 +114,7 @@ func rawTrace(events ...[]uint64) []byte {
 // TestDecoderRejectsOversizedFields: a field wider than its type must
 // fail decode rather than alias a smaller value once cast — thread
 // 2^32+1 replaying as thread 1, a size of 2^32+8 as an 8-byte load.
-// Replay and SplitTrace run the same decoder, so both reject it.
+// Replay's windowed decode and a whole-slice decode must both reject it.
 func TestDecoderRejectsOversizedFields(t *testing.T) {
 	const wide = 1<<32 + 1
 	for _, tc := range []struct {
@@ -119,8 +139,8 @@ func TestDecoderRejectsOversizedFields(t *testing.T) {
 		if n, err := Replay(bytes.NewReader(data), Discard{}); err == nil {
 			t.Errorf("%s: Replay accepted it (%d events)", tc.name, n)
 		}
-		if _, err := SplitTrace(data, 2); err == nil {
-			t.Errorf("%s: SplitTrace accepted it", tc.name)
+		if n, err := decodeWhole(data, Discard{}); err == nil {
+			t.Errorf("%s: whole-slice decode accepted it (%d events)", tc.name, n)
 		}
 	}
 
@@ -146,7 +166,7 @@ func TestDecoderRejectsOversizedFields(t *testing.T) {
 }
 
 // TestReplayWindowEdges: Replay decodes from a window it refills from
-// its reader, while ReplayPartition decodes the whole slice. Over a
+// its reader, while decodeWhole decodes the whole slice. Over a
 // trace longer than three windows, shifted one byte at a time across
 // one maximal event, some event straddles a window edge at every offset;
 // both must deliver the same events.
@@ -192,15 +212,12 @@ func TestReplayWindowEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shift %d: Replay: %v", shift, err)
 		}
-		ps, err := SplitTrace(data, 1)
+		wholeN, err := decodeWhole(data, &whole)
 		if err != nil {
-			t.Fatalf("shift %d: SplitTrace: %v", shift, err)
+			t.Fatalf("shift %d: whole-slice decode: %v", shift, err)
 		}
-		if _, err := ReplayPartition(data, ps[0], &whole); err != nil {
-			t.Fatalf("shift %d: ReplayPartition: %v", shift, err)
-		}
-		if n != ps[0].Events || !reflect.DeepEqual(windowed.items, whole.items) {
-			t.Fatalf("shift %d: Replay delivered %d events, ReplayPartition %d, or they differ", shift, n, ps[0].Events)
+		if n != wholeN || !reflect.DeepEqual(windowed.items, whole.items) {
+			t.Fatalf("shift %d: Replay delivered %d events, the whole-slice decode %d, or they differ", shift, n, wholeN)
 		}
 	}
 }

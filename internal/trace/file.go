@@ -104,7 +104,7 @@ func Replay(r io.Reader, sink Sink) (uint64, error) {
 	if [8]byte(window[:8]) != fileMagic {
 		return 0, errBadMagic
 	}
-	d := newDecoder(nil, 0, nil)
+	d := newDecoder(nil, 0)
 	eof := false
 	var n uint64
 	for {

@@ -27,6 +27,9 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# Dead-export gate: every exported function, method, type and variable of
+# a library package must be mentioned somewhere besides its declaration.
+go run ./scripts/deadexports
 go build ./...
 # -timeout raised above the Go default: the full race-enabled suite is
 # ~10 minutes of real simulation on a single-CPU container.
@@ -59,9 +62,17 @@ go test -fuzz FuzzFrames -fuzztime 5s -run '^$' ./internal/sweep/
 # And of serve's BATCH container parser, differentially against the
 # router's own scan of the same container.
 go test -fuzz FuzzBatch -fuzztime 5s -run '^$' ./internal/serve/
+# And of serve's request and response decoders, the readers of every
+# frame pmod, pmorouter and their clients take from the network.
+go test -fuzz FuzzFrame -fuzztime 5s -run '^$' ./internal/serve/
+go test -fuzz FuzzParseResponse -fuzztime 5s -run '^$' ./internal/serve/
+# And of the pool file reader, the reader of every pool a store opens.
+go test -fuzz FuzzPoolFile -fuzztime 5s -run '^$' ./internal/pmo/
 # And of the trace decoder, the reader of the trace files pmotrace takes
-# from disk, differentially between Replay and SplitTrace.
-go test -fuzz FuzzSplitTrace -fuzztime 5s -run '^$' ./internal/trace/
+# from disk: an accepted trace must survive a re-encode, and Replay's
+# windowed decode must agree with a whole-slice decode.
+go test -fuzz '^FuzzReplay$' -fuzztime 5s -run '^$' ./internal/trace/
+go test -fuzz '^FuzzWindowedDecode$' -fuzztime 5s -run '^$' ./internal/trace/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
@@ -114,7 +125,7 @@ go run ./scripts/checkjsonl -min-lines 10 "$obsdir/spans.jsonl"
 "$obsdir/pmotrace" audit -i "$obsdir/capture"
 "$obsdir/pmotrace" replay -i "$obsdir/capture" -scheme domainvirt -obs-out "$obsdir/capture-obs"
 "$obsdir/pmotrace" replay -i "$obsdir/capture" -scheme mpkvirt
-go run ./scripts/checkprom "$obsdir/capture-obs"/capture-domainvirt-metrics.prom
+go run ./scripts/checkprom "$obsdir/capture-obs"/*-domainvirt-metrics.prom
 
 # Cluster smoke: three pmod nodes behind a pmorouter, cluster-shaped
 # load (shared Zipf-skewed pools, session churn, batch pipelining,

@@ -2,9 +2,11 @@ package domainvirt_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -125,6 +127,69 @@ func TestPmotraceEndToEnd(t *testing.T) {
 		out = runTool(t, bin, "replay", "-i", tr, "-scheme", scheme)
 		if !strings.Contains(out, "domain/page faults: 0 / 0") {
 			t.Fatalf("replay under %s: %s", scheme, out)
+		}
+	}
+
+	// A directory of segments exports one set per segment, and each
+	// set's totals are those of replaying its segment alone.
+	segs := filepath.Join(t.TempDir(), "segs")
+	if err := os.Mkdir(segs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cyclesRe := regexp.MustCompile(`under domainvirt: (\d+) cycles`)
+	cycles := map[string]string{}
+	for _, seg := range []struct{ name, seed string }{{"a", "1"}, {"b", "2"}} {
+		path := filepath.Join(segs, seg.name+".trace")
+		runTool(t, bin, "record", "-workload", "avl", "-pmos", "16", "-ops", "300", "-seed", seg.seed, "-o", path)
+		out = runTool(t, bin, "replay", "-i", path, "-scheme", "domainvirt")
+		m := cyclesRe.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("replay of %s: %s", seg.name, out)
+		}
+		cycles[seg.name] = m[1]
+	}
+	obsDir := filepath.Join(t.TempDir(), "obs")
+	runTool(t, bin, "replay", "-i", segs, "-scheme", "domainvirt", "-obs-out", obsDir, "-obs-epoch", "20000")
+	for name, want := range cycles {
+		prom, err := os.ReadFile(filepath.Join(obsDir, name+"-domainvirt-metrics.prom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !regexp.MustCompile(`(?m)^pmo_cycles_total\{.*\} ` + want + `$`).Match(prom) {
+			t.Errorf("segment %s: pmo_cycles_total is not its own replay's %s cycles:\n%s", name, want, prom)
+		}
+		series, err := os.ReadFile(filepath.Join(obsDir, name+"-domainvirt-series.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range bytes.Split(bytes.TrimSpace(series), []byte("\n")) {
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.UseNumber()
+			var sample any
+			if err := dec.Decode(&sample); err != nil {
+				t.Fatalf("segment %s sample %d: %v", name, i, err)
+			}
+			eachNumber(sample, func(n json.Number) {
+				if f, _ := n.Float64(); f >= 1<<63 {
+					t.Errorf("segment %s sample %d holds %s, a wrapped delta", name, i, n)
+				}
+			})
+		}
+	}
+}
+
+// eachNumber calls fn on every number in a value decoded with UseNumber.
+func eachNumber(v any, fn func(json.Number)) {
+	switch v := v.(type) {
+	case json.Number:
+		fn(v)
+	case map[string]any:
+		for _, e := range v {
+			eachNumber(e, fn)
+		}
+	case []any:
+		for _, e := range v {
+			eachNumber(e, fn)
 		}
 	}
 }
