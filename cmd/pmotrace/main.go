@@ -19,7 +19,9 @@
 // all the same captured traffic runs through every protection engine —
 // a paired experiment on production traffic — and -obs-out exports a
 // manifest, series files, and latency histograms per segment and scheme,
-// named <segment>-<scheme>-*.
+// named <segment>-<scheme>-*. A scheme that cannot replay the input
+// (plain MPK past 16 domains) reports its error under its own header,
+// the remaining schemes still run, and the command then exits 1.
 package main
 
 import (
@@ -81,7 +83,11 @@ func main() {
 		var c trace.Counter
 		var n uint64
 		for _, p := range files {
-			n += replayInto(p, &c)
+			m, err := replayInto(p, &c)
+			if err != nil {
+				fatal(err)
+			}
+			n += m
 		}
 		fmt.Printf("%s: %d events in %d file(s)\n", *in, n, len(files))
 		fmt.Printf("  instructions: %d\n", c.Instrs)
@@ -97,7 +103,9 @@ func main() {
 		bad := false
 		for _, p := range inputs(*in) {
 			a := trace.NewAuditor(nil)
-			replayInto(p, a)
+			if _, err := replayInto(p, a); err != nil {
+				fatal(err)
+			}
 			findings := a.Finish()
 			fmt.Printf("%s: %d permission switches, peak %d write-enabled domain(s) per thread\n",
 				p, a.Switches, a.MaxWritable)
@@ -122,11 +130,19 @@ func main() {
 		}
 		cfg := domainvirt.DefaultConfig()
 		var baseline uint64
+		failed := false
 		for _, sc := range schemes {
 			if len(schemes) > 1 {
 				fmt.Printf("--- scheme %s ---\n", sc)
 			}
-			res, n := replayScheme(files, sc, cfg, *obsOut, *obsEpoch)
+			// A scheme that cannot replay the trace (mpk past its 16
+			// keys) reports why and leaves the others to run.
+			res, n, err := replayScheme(files, sc, cfg, *obsOut, *obsEpoch)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "pmotrace: scheme %s: %v\n", sc, err)
+				failed = true
+				continue
+			}
 			fmt.Printf("replayed %d events under %s: %d cycles\n", n, sc, res.Cycles)
 			fmt.Printf("  switches/sec: %.0f\n", res.SwitchesPerSec(cfg.ClockHz))
 			fmt.Printf("  domain/page faults: %d / %d\n", res.Counters.DomainFaults, res.Counters.PageFaults)
@@ -144,6 +160,9 @@ func main() {
 					}
 				}
 			}
+		}
+		if failed {
+			os.Exit(1)
 		}
 
 	default:
@@ -187,10 +206,11 @@ func record(name, path string, p domainvirt.Params) error {
 }
 
 // replayScheme runs every input file through a fresh machine under one
-// scheme and aggregates the results. With obsOut set, every file gets
-// its own recorder, and its export set (manifest, series, histograms)
-// lands in that directory under the file's name.
-func replayScheme(files []string, scheme string, cfg domainvirt.Config, obsOut string, epoch uint64) (stats.Result, uint64) {
+// scheme and aggregates the results, stopping at the first file that
+// fails to replay. With obsOut set, every file gets its own recorder,
+// and its export set (manifest, series, histograms) lands in that
+// directory under the file's name.
+func replayScheme(files []string, scheme string, cfg domainvirt.Config, obsOut string, epoch uint64) (stats.Result, uint64, error) {
 	agg := stats.Result{Scheme: scheme}
 	var events uint64
 	for _, path := range files {
@@ -200,7 +220,10 @@ func replayScheme(files []string, scheme string, cfg domainvirt.Config, obsOut s
 			rec = obs.NewRecorder(obs.Options{Epoch: epoch})
 			m.SetRecorder(rec)
 		}
-		n := replayInto(path, m)
+		n, err := replayInto(path, m)
+		if err != nil {
+			return agg, events, err
+		}
 		events += n
 		if rec != nil {
 			m.FlushObs()
@@ -212,7 +235,7 @@ func replayScheme(files []string, scheme string, cfg domainvirt.Config, obsOut s
 		agg.Breakdown.Merge(&res.Breakdown)
 		agg.Counters.Merge(&res.Counters)
 	}
-	return agg, events
+	return agg, events, nil
 }
 
 // export stamps rec's manifest for a replay of events events from the
@@ -264,17 +287,19 @@ func inputs(in string) []string {
 	return files
 }
 
-func replayInto(path string, sink trace.Sink) uint64 {
+// replayInto replays the trace file at path into sink and returns the
+// number of events replayed.
+func replayInto(path string, sink trace.Sink) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	defer f.Close()
 	n, err := trace.Replay(f, sink)
 	if err != nil {
-		fatal(err)
+		return n, fmt.Errorf("%s: %w", path, err)
 	}
-	return n
+	return n, nil
 }
 
 func needIn(in string) {

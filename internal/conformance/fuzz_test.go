@@ -1,6 +1,12 @@
 package conformance
 
 import (
+	"bytes"
+	"maps"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"domainvirt/internal/sim"
@@ -38,6 +44,43 @@ func FuzzConformProgram(f *testing.F) {
 		rr := Replay(p, cfg)
 		if rr.Diverged() {
 			t.Fatalf("divergence: %v\nprogram: %+v", rr.Divergences[0], p)
+		}
+	})
+}
+
+// FuzzReadProgram feeds arbitrary text to the corpus reader, the reader
+// of every repro file a conformance run leaves on disk. A text that
+// ReadProgram accepts must re-serialise through Program.WriteTo and read
+// back to an equal Program.
+func FuzzReadProgram(f *testing.F) {
+	corpus, err := LoadCorpus(filepath.Join("testdata", "regressions"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range slices.Sorted(maps.Keys(corpus)) {
+		var b bytes.Buffer
+		if _, err := corpus[name].WriteTo(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.String())
+	}
+	f.Add(corpusHeader + "\n# a comment\nseed -3 profile churn cores 2 threads 4\n" +
+		"attach 7\nsetperm 2 7 r\nfetch 4 7 0x1fc0\ninstr 1 99\nfence 3\ndetach 7\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ReadProgram(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var b bytes.Buffer
+		if _, err := p.WriteTo(&b); err != nil {
+			t.Fatalf("WriteTo of an accepted program: %v\nprogram: %+v", err, p)
+		}
+		q, err := ReadProgram(bytes.NewReader(b.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", b.String(), err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the program:\n%+v\n%+v\ntext:\n%s", p, q, b.String())
 		}
 	})
 }

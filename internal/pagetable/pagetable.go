@@ -4,14 +4,19 @@
 // when pkey_mprotect rewrites the key field of every populated PTE in a
 // domain, so the table exposes populated-page enumeration.
 //
-// Interior nodes hold only child pointers; leaves hold the 512 PTEs plus a
-// presence bitmap and no pointers, so the garbage collector never scans
-// them and an enumeration of a sparse range costs its leaves plus its
-// present PTEs, not every slot of the range.
+// Interior nodes hold only child pointers. Leaves are sparse: a leaf keeps
+// two 512-bit bitmaps, one of its stored slots and one of its present
+// slots, and stores only its non-zero PTEs, in slot order, finding slot i
+// at the rank of bit i in the stored bitmap. A leaf costs 168 bytes plus
+// 16 per stored PTE, where all 512 slots would cost 8 KiB, and an
+// enumeration of a sparse range costs its leaves plus its stored PTEs, not
+// every slot of the range. Clone and DecodeFrom size a table's leaves and
+// PTEs before they fill them, and take each from one slab.
 package pagetable
 
 import (
 	"math/bits"
+	"slices"
 
 	"domainvirt/internal/memlayout"
 )
@@ -24,11 +29,18 @@ type PTE struct {
 	PKey     uint8 // 4-bit protection key; 0 is the null (domainless) key
 }
 
-// leaf is a last-level radix node: 512 PTEs and a bitmap whose bit i is
-// set exactly when ptes[i].Present is.
+// words is the number of 64-bit words in one bitmap of a leaf.
+const words = memlayout.RadixFanout / 64
+
+// leaf is a last-level radix node. Slot i stores a PTE exactly when bit i
+// of stored is set, and that PTE is ptes[rank(i)]. A stored PTE is
+// non-zero but need not be present: a decoded table can carry a key or a
+// writable bit in a non-present slot. present is a subset of stored.
 type leaf struct {
-	ptes    [memlayout.RadixFanout]PTE
-	present [memlayout.RadixFanout / 64]uint64
+	stored  [words]uint64
+	present [words]uint64
+	below   [words]int16 // below[w] counts the stored bits of words [0, w)
+	ptes    []PTE        // the stored PTEs in slot order; no pointers
 }
 
 // dir is an interior radix node: 512 child pointers and nothing else.
@@ -54,36 +66,104 @@ func (d *dir[C]) at(i int, create bool) *C {
 	return c
 }
 
-// set stores pte in slot i, keeping the presence bitmap in step, and
-// reports whether the slot held a present PTE before.
+// rank returns the index in ptes of slot i's PTE, or of the place it
+// would take: the number of stored slots below i.
+func (l *leaf) rank(i int) int {
+	w := i / 64
+	return int(l.below[w]) + bits.OnesCount64(l.stored[w]&(1<<(i%64)-1))
+}
+
+// get returns the PTE in slot i, the zero PTE when the slot stores none.
+func (l *leaf) get(i int) PTE {
+	if l.stored[i/64]&(1<<(i%64)) == 0 {
+		return PTE{}
+	}
+	return l.ptes[l.rank(i)]
+}
+
+// set stores pte in slot i, inserting it into ptes when the slot turns
+// non-zero and removing it when the slot turns zero, and reports whether
+// the slot held a present PTE before.
 func (l *leaf) set(i int, pte PTE) (was bool) {
-	was = l.ptes[i].Present
-	l.ptes[i] = pte
+	w, bit := i/64, uint64(1)<<(i%64)
+	was = l.present[w]&bit != 0
+	l.present[w] &^= bit
 	if pte.Present {
-		l.present[i/64] |= 1 << (i % 64)
-	} else {
-		l.present[i/64] &^= 1 << (i % 64)
+		l.present[w] |= bit
+	}
+	k := l.rank(i)
+	switch stored := l.stored[w]&bit != 0; {
+	case stored && pte != PTE{}:
+		l.ptes[k] = pte
+	case stored:
+		l.ptes = slices.Delete(l.ptes, k, k+1)
+		l.stored[w] &^= bit
+		l.count(w, -1)
+	case pte != PTE{}:
+		l.ptes = slices.Insert(l.ptes, k, pte)
+		l.stored[w] |= bit
+		l.count(w, 1)
 	}
 	return was
 }
 
-// presentIn returns word w of the presence bitmap with the bits outside
-// slots [first, last] cleared.
-func (l *leaf) presentIn(w, first, last int) uint64 {
-	b := l.present[w]
+// count adds d to the prefix counts of the words above w, after a slot in
+// word w turned stored (d = 1) or empty (d = -1).
+func (l *leaf) count(w int, d int16) {
+	for v := w + 1; v < words; v++ {
+		l.below[v] += d
+	}
+}
+
+// span returns the bits of bitmap word w that fall in slots [first, last].
+func span(w, first, last int) uint64 {
+	m := ^uint64(0)
 	if w == first/64 {
-		b &= ^uint64(0) << (first % 64)
+		m <<= first % 64
 	}
 	if w == last/64 {
-		b &= ^uint64(0) >> (63 - last%64)
+		m &= ^uint64(0) >> (63 - last%64)
 	}
-	return b
+	return m
+}
+
+// slab hands out leaves and PTE storage carved from two bulk allocations,
+// for a table whose size is known before it is filled.
+type slab struct {
+	leaves []leaf
+	ptes   []PTE
+}
+
+func newSlab(leaves, ptes int) slab {
+	return slab{make([]leaf, leaves), make([]PTE, ptes)}
+}
+
+// leaf returns a zero leaf, from the slab while it lasts. A nil slab
+// allocates every leaf on its own.
+func (s *slab) leaf() *leaf {
+	if s == nil || len(s.leaves) == 0 {
+		return new(leaf)
+	}
+	l := &s.leaves[0]
+	s.leaves = s.leaves[1:]
+	return l
+}
+
+// take returns storage for n PTEs. Its capacity ends where its length
+// does, so a leaf that later outgrows it reallocates rather than writing
+// into the storage of the leaf after it.
+func (s *slab) take(n int) []PTE {
+	p := s.ptes[:n:n]
+	s.ptes = s.ptes[n:]
+	return p
 }
 
 // Table is a 4-level radix page table for one address space.
 type Table struct {
 	root      *pml4
 	populated uint64 // number of present leaf PTEs
+	leaves    int    // number of leaves
+	stored    int    // number of stored PTEs, across all leaves
 }
 
 // New returns an empty page table.
@@ -95,9 +175,22 @@ func New() *Table {
 func (t *Table) Populated() uint64 { return t.populated }
 
 // Clone returns a deep copy of the table: the two share no nodes, so
-// mutations of one are invisible to the other.
+// mutations of one are invisible to the other. The copy's leaves and
+// PTEs come from one slab each.
 func (t *Table) Clone() *Table {
-	return &Table{root: cloneDir(t.root, clonePUD), populated: t.populated}
+	s := newSlab(t.leaves, t.stored)
+	cloneLeaf := func(l *leaf) *leaf {
+		c := s.leaf()
+		*c = *l
+		c.ptes = s.take(len(l.ptes))
+		copy(c.ptes, l.ptes)
+		return c
+	}
+	clonePMD := func(d *pmd) *pmd { return cloneDir(d, cloneLeaf) }
+	clonePUD := func(d *pud) *pud { return cloneDir(d, clonePMD) }
+	c := *t
+	c.root = cloneDir(t.root, clonePUD)
+	return &c
 }
 
 // cloneDir deep-copies d, copying each child with cloneChild.
@@ -111,16 +204,10 @@ func cloneDir[C any](d *dir[C], cloneChild func(*C) *C) *dir[C] {
 	return c
 }
 
-func clonePUD(d *pud) *pud { return cloneDir(d, clonePMD) }
-func clonePMD(d *pmd) *pmd { return cloneDir(d, cloneLeaf) }
-func cloneLeaf(l *leaf) *leaf {
-	c := *l
-	return &c
-}
-
-// leafFor returns the leaf covering va, creating intermediate nodes when
-// create is true; otherwise it returns nil if the path is absent.
-func (t *Table) leafFor(va memlayout.VA, create bool) *leaf {
+// leafFor returns the leaf covering va. When create is true it first
+// creates the absent nodes on the path, taking a new leaf from s;
+// otherwise an absent path yields nil.
+func (t *Table) leafFor(va memlayout.VA, create bool, s *slab) *leaf {
 	l3 := t.root.at(memlayout.Index(va, 3), create)
 	if l3 == nil {
 		return nil
@@ -129,34 +216,48 @@ func (t *Table) leafFor(va memlayout.VA, create bool) *leaf {
 	if l2 == nil {
 		return nil
 	}
-	return l2.at(memlayout.Index(va, 1), create)
+	i := memlayout.Index(va, 1)
+	if l2.child[i] == nil && create {
+		l2.child[i] = s.leaf()
+		t.leaves++
+	}
+	return l2.child[i]
+}
+
+// set stores pte in slot i of l, keeping the table's counts in step.
+func (t *Table) set(l *leaf, i int, pte PTE) {
+	n := len(l.ptes)
+	was := l.set(i, pte)
+	t.stored += len(l.ptes) - n
+	switch {
+	case pte.Present && !was:
+		t.populated++
+	case was && !pte.Present:
+		t.populated--
+	}
 }
 
 // Map installs a translation for the 4 KB page containing va.
 func (t *Table) Map(va memlayout.VA, pa memlayout.PA, writable bool) {
-	pte := PTE{
+	t.set(t.leafFor(va, true, nil), memlayout.Index(va, 0), PTE{
 		PFN:      uint64(pa) >> memlayout.PageShift,
 		Present:  true,
 		Writable: writable,
-	}
-	if !t.leafFor(va, true).set(memlayout.Index(va, 0), pte) {
-		t.populated++
-	}
+	})
 }
 
 // Unmap removes the translation for the page containing va, reporting
 // whether a mapping was present.
 func (t *Table) Unmap(va memlayout.VA) bool {
-	l := t.leafFor(va, false)
+	l := t.leafFor(va, false, nil)
 	if l == nil {
 		return false
 	}
 	idx := memlayout.Index(va, 0)
-	if !l.ptes[idx].Present {
+	if !l.get(idx).Present {
 		return false
 	}
-	l.set(idx, PTE{})
-	t.populated--
+	t.set(l, idx, PTE{})
 	return true
 }
 
@@ -176,7 +277,7 @@ func (t *Table) Walk(va memlayout.VA) (pte PTE, depth int, ok bool) {
 	if l == nil {
 		return PTE{}, 3, false
 	}
-	pte = l.ptes[memlayout.Index(va, 0)]
+	pte = l.get(memlayout.Index(va, 0))
 	return pte, memlayout.NumLevels, pte.Present
 }
 
@@ -229,10 +330,14 @@ func (t *Table) ForEachPopulated(r memlayout.Region, fn func(memlayout.VA, *PTE)
 	}
 	t.forEachLeaf(lo, hi, func(base uint64, l *leaf) {
 		first, last := slots(0, base, lo, hi)
+		k := l.rank(first) // counts along ptes beside the stored bits
 		for w := first / 64; w <= last/64; w++ {
-			for b := l.presentIn(w, first, last); b != 0; b &= b - 1 {
-				i := w*64 + bits.TrailingZeros64(b)
-				fn(memlayout.VA((base+uint64(i))<<memlayout.PageShift), &l.ptes[i])
+			for b := l.stored[w] & span(w, first, last); b != 0; b &= b - 1 {
+				if l.present[w]&b&-b != 0 {
+					i := w*64 + bits.TrailingZeros64(b)
+					fn(memlayout.VA((base+uint64(i))<<memlayout.PageShift), &l.ptes[k])
+				}
+				k++
 			}
 		}
 	})

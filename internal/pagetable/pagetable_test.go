@@ -2,7 +2,7 @@ package pagetable
 
 import (
 	"math/rand"
-	"slices"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -33,25 +33,24 @@ func TestMapWalkRoundTrip(t *testing.T) {
 }
 
 func TestMapAgainstReference(t *testing.T) {
-	// A random sequence of Map, Unmap, Lookup, SetKey, Clone and an
-	// AppendTo/DecodeFrom round trip must agree with a Go map, and
-	// ForEachPopulated must visit exactly the map's pages in a region, in
-	// ascending VA order, on the table, its clone and its decoded copy.
+	// A random sequence of Map, Unmap, Lookup, SetKey, SetWritable, Clone,
+	// an AppendTo/DecodeFrom round trip and a decode of shuffled entries
+	// must agree with a Go map, and ForEachPopulated must visit exactly
+	// the map's pages in a region, in ascending VA order, on the table,
+	// its clone and its decoded copies.
 	rng := rand.New(rand.NewSource(7))
-	pt := New()
-	type refPTE struct {
-		pfn uint64
-		key uint8
-	}
-	ref := make(map[uint64]refPTE) // vpn -> PTE
+	c := newChecker(t)
 	randVPN := func() uint64 {
+		if rng.Intn(2) == 0 { // three adjacent leaves, which PTEs share
+			return 3<<27 + uint64(rng.Intn(3*memlayout.RadixFanout))
+		}
 		return uint64(rng.Intn(2048))*7919 + uint64(rng.Intn(64))<<30
 	}
 	randRegion := func() memlayout.Region {
 		if rng.Intn(8) == 0 {
 			return memlayout.Region{Size: 1 << 48} // the whole radix
 		}
-		a, b := memlayout.VA(randVPN()<<memlayout.PageShift), memlayout.VA(randVPN()<<memlayout.PageShift)
+		a, b := pageVA(randVPN()), pageVA(randVPN())
 		if a > b {
 			a, b = b, a
 		}
@@ -59,87 +58,28 @@ func TestMapAgainstReference(t *testing.T) {
 		a += memlayout.VA(rng.Intn(2 * memlayout.PageSize))
 		return memlayout.Region{Base: a, Size: uint64(b-a) + uint64(rng.Intn(2*memlayout.PageSize))}
 	}
-	check := func(step int, name string, tab *Table, r memlayout.Region) {
-		var want []uint64
-		for vpn := range ref {
-			if r.Contains(memlayout.VA(vpn << memlayout.PageShift)) {
-				want = append(want, vpn)
-			}
-		}
-		slices.Sort(want)
-		var got []uint64
-		tab.ForEachPopulated(r, func(va memlayout.VA, pte *PTE) {
-			vpn := memlayout.PageNum(va)
-			if w := ref[vpn]; !pte.Present || pte.PFN != w.pfn || pte.PKey != w.key {
-				t.Fatalf("step %d: %s visits %#x as %+v, want %+v", step, name, va, *pte, w)
-			}
-			got = append(got, vpn)
-		})
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d: %s ForEachPopulated(%v) visits %d pages %x, want %d %x",
-				step, name, r, len(got), got, len(want), want)
-		}
-		if n := tab.PopulatedPages(r); n != len(want) {
-			t.Fatalf("step %d: %s PopulatedPages(%v) = %d, want %d", step, name, r, n, len(want))
-		}
-		if tab.Populated() != uint64(len(ref)) {
-			t.Fatalf("step %d: %s Populated = %d, want %d", step, name, tab.Populated(), len(ref))
-		}
-	}
 	for i := 0; i < 5000; i++ {
 		vpn := randVPN()
-		va := memlayout.VA(vpn << memlayout.PageShift)
-		switch op := rng.Intn(100); {
-		case op < 40:
-			pfn := uint64(rng.Int63n(1 << 30))
-			pt.Map(va, memlayout.PA(pfn<<memlayout.PageShift), true)
-			ref[vpn] = refPTE{pfn: pfn}
-		case op < 60:
-			got := pt.Unmap(va)
-			_, want := ref[vpn]
-			if got != want {
-				t.Fatalf("Unmap(%#x) = %v, want %v", va, got, want)
-			}
-			delete(ref, vpn)
+		switch op := rng.Intn(200); {
 		case op < 80:
-			pte, ok := pt.Lookup(va)
-			w, want := ref[vpn]
-			if ok != want || (ok && (pte.PFN != w.pfn || pte.PKey != w.key)) {
-				t.Fatalf("Lookup(%#x) = (%+v,%v), want (%+v,%v)", va, pte, ok, w, want)
-			}
-		case op < 98:
-			r := randRegion()
-			key := uint8(rng.Intn(16))
-			want := 0
-			for v, w := range ref {
-				if r.Contains(memlayout.VA(v << memlayout.PageShift)) {
-					w.key = key
-					ref[v] = w
-					want++
-				}
-			}
-			if n := pt.SetKey(r, key); n != want {
-				t.Fatalf("SetKey(%v) = %d, want %d", r, n, want)
-			}
-		case op < 99:
-			// Carry on with a clone: a mapping made in it must not
-			// show in its source.
-			clone := pt.Clone()
-			clone.Map(va, 0, false)
-			check(i, "source of a clone", pt, randRegion())
-			ref[vpn] = refPTE{}
-			check(i, "clone", clone, randRegion())
-			pt = clone
+			c.mapPage(vpn, uint64(rng.Int63n(1<<30)), rng.Intn(4) != 0)
+		case op < 120:
+			c.unmap(vpn)
+		case op < 160:
+			c.lookup(vpn)
+		case op < 180:
+			c.setKey(randRegion(), uint8(rng.Intn(16)))
+		case op < 196:
+			c.setWritable(randRegion(), rng.Intn(2) == 0)
+		case op < 198:
+			c.fork(vpn, randRegion(), randRegion())
+		case op < 199:
+			c.roundTrip(randRegion())
 		default:
-			dec := &Table{}
-			if err := dec.DecodeFrom(bincodec.NewReader(pt.AppendTo(nil))); err != nil {
-				t.Fatal(err)
-			}
-			check(i, "decoded copy", dec, randRegion())
-			pt = dec
+			c.scramble(rng, randRegion())
 		}
 		if i%25 == 0 {
-			check(i, "table", pt, randRegion())
+			c.check("table", c.pt, randRegion())
 		}
 	}
 }
@@ -220,5 +160,46 @@ func TestForEachPopulatedRangeExactness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSparseFootprint maps one page in each of 1,024 adjacent 2 MiB
+// regions, the shape of a 1024-PMO checkpoint: every leaf holds a single
+// present PTE. Mapping, cloning, encoding and decoding such a table must
+// each allocate under 256 bytes per present PTE; a dense leaf of 512
+// slots costs over 8 KiB.
+func TestSparseFootprint(t *testing.T) {
+	const pages, budget = 1024, 256
+	base := memlayout.VA(0x2000_0000_0000)
+	pt := New()
+	var enc []byte
+	for _, step := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Map", func() {
+			for i := 0; i < pages; i++ {
+				va := base + memlayout.VA(i)<<memlayout.LevelShift(1)
+				pt.Map(va, memlayout.PA(i+1)<<memlayout.PageShift, true)
+			}
+		}},
+		{"Clone", func() { pt.Clone() }},
+		{"AppendTo", func() { enc = pt.AppendTo(nil) }},
+		{"DecodeFrom", func() {
+			if err := new(Table).DecodeFrom(bincodec.NewReader(enc)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step.fn()
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / pages; per >= budget {
+			t.Errorf("%s allocates %d B per present PTE, want under %d", step.name, per, budget)
+		}
+	}
+	if pt.Populated() != pages {
+		t.Fatalf("Populated = %d, want %d", pt.Populated(), pages)
 	}
 }

@@ -73,6 +73,12 @@ go test -fuzz FuzzPoolFile -fuzztime 5s -run '^$' ./internal/pmo/
 # windowed decode must agree with a whole-slice decode.
 go test -fuzz '^FuzzReplay$' -fuzztime 5s -run '^$' ./internal/trace/
 go test -fuzz '^FuzzWindowedDecode$' -fuzztime 5s -run '^$' ./internal/trace/
+# And of the page table against a map: its operations, its clones and its
+# codec, with entries in an order AppendTo never writes.
+go test -fuzz '^FuzzTableOps$' -fuzztime 5s -run '^$' ./internal/pagetable/
+# And of the conformance corpus reader, the reader of every repro file a
+# campaign writes: an accepted program must survive a re-serialise.
+go test -fuzz '^FuzzReadProgram$' -fuzztime 5s -run '^$' ./internal/conformance/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the

@@ -3,6 +3,7 @@ package domainvirt_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -127,6 +128,33 @@ func TestPmotraceEndToEnd(t *testing.T) {
 		out = runTool(t, bin, "replay", "-i", tr, "-scheme", scheme)
 		if !strings.Contains(out, "domain/page faults: 0 / 0") {
 			t.Fatalf("replay under %s: %s", scheme, out)
+		}
+	}
+
+	// With -scheme all, a scheme that cannot replay a trace reports its
+	// error under its own header and the remaining schemes still replay:
+	// mpk has 16 keys and this trace attaches 32 domains. The command
+	// then exits 1.
+	wide := filepath.Join(t.TempDir(), "wide.trace")
+	runTool(t, bin, "record", "-workload", "avl", "-pmos", "32", "-init", "64", "-ops", "50", "-o", wide)
+	var buf bytes.Buffer
+	cmd := exec.Command(bin, "replay", "-i", wide, "-scheme", "all")
+	cmd.Stdout, cmd.Stderr = &buf, &buf
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("replay -scheme all of a 32-domain trace: %v, want exit status 1\n%s", err, buf.String())
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split(buf.String(), "--- scheme ")[1:] {
+		name, body, _ := strings.Cut(sec, " ---\n")
+		sections[name] = body
+	}
+	if !strings.Contains(sections["mpk"], "all 16 protection keys allocated") {
+		t.Errorf("mpk section lacks its error: %q\n%s", sections["mpk"], buf.String())
+	}
+	for _, scheme := range []string{"libmpk", "mpkvirt", "domainvirt"} {
+		if !regexp.MustCompile(`replayed [1-9]\d* events under ` + scheme + `:`).MatchString(sections[scheme]) {
+			t.Errorf("%s did not replay:\n%s", scheme, buf.String())
 		}
 	}
 
