@@ -55,8 +55,8 @@ func run() int {
 		ops      = flag.Int("ops", 0, "override measured operations per run")
 		seed     = flag.Int64("seed", 42, "workload RNG seed")
 		workers  = flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS)")
-		snapshot = flag.Bool("snapshot", true, "share warmup machine checkpoints across cells and experiments")
-		snapDir  = flag.String("snapshot-dir", "", "persist warmup/mid-run checkpoints and measured-segment traces in this directory (implies -snapshot)")
+		snapshot = flag.Bool("snapshot", true, "share warmup machine checkpoints and measured-segment traces across cells and experiments")
+		snapDir  = flag.String("snapshot-dir", "", "keep warmup/mid-run checkpoints and measured-segment traces in this directory instead of in memory, for later runs (implies -snapshot)")
 		quiet    = flag.Bool("quiet", false, "suppress the banner and per-cell progress lines on stderr")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 
@@ -108,10 +108,11 @@ func run() int {
 		}
 	} else if *snapshot {
 		// One cache across every experiment in this invocation: Table VI,
-		// Table VII, and the 1024-PMO Fig. 6 column share warmups, and a
-		// cost ablation re-simulates no warmup at all. Results are
-		// bit-identical with or without it. Progress lines tag each cell
-		// "(snapshot)" or "(warmup)" to show which path served it.
+		// Table VII, and the 1024-PMO Fig. 6 column share warmups, a
+		// cost ablation re-simulates no warmup at all, and cells replay
+		// the traces earlier cells recorded. Results are bit-identical
+		// with or without it. Progress lines tag each cell "(snapshot)"
+		// or "(warmup)" to show which path served it.
 		opt.Snapshots = domainvirt.NewSnapshotCache()
 	}
 	if *sweepAddrs != "" {

@@ -177,9 +177,10 @@ func run() int {
 
 // runCompare evaluates every scheme on the experiment worker pool. The
 // per-scheme warmups differ (each scheme shapes machine state its own
-// way), so within one invocation the snapshot cache only avoids work if
-// a scheme repeats; it is kept on by default so the flag surface matches
-// pmobench and the comparison path exercises the cached code path.
+// way), so every scheme simulates its own setup; with the snapshot
+// cache on (the default, as in pmobench), the first scheme to measure
+// records the measured segment's trace, and a scheme that starts after
+// that recording is stored replays it instead of running the workload.
 func runCompare(wl string, p domainvirt.Params, cfg domainvirt.Config, workers int, snapshot bool) error {
 	schemes := []domainvirt.Scheme{
 		domainvirt.SchemeBaseline, domainvirt.SchemeLowerbound,

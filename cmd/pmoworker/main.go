@@ -7,13 +7,13 @@
 //	pmoworker -listen 127.0.0.1:0 -addr-file /tmp/w1.addr -snapshot-dir /var/cache/pmo
 //
 // Each connection executes one cell at a time; a coordinator opens
-// several connections per worker for intra-worker parallelism. With
-// -snapshot-dir the worker keeps a persistent warmup-checkpoint store:
-// snapshots it misses are pulled from the coordinator mid-cell, and
-// snapshots it builds survive for later sweeps, as do the traces of
-// the measured segments its cells record and later cells replay. Killing a worker
-// mid-sweep is safe — the coordinator re-runs its lost cells locally
-// and the sweep's outputs are byte-identical either way.
+// several connections per worker for intra-worker parallelism. The
+// worker keeps warmup checkpoints, and the traces of the measured
+// segments its cells record and later cells replay, in memory or, with
+// -snapshot-dir, in a directory where they survive for later sweeps.
+// Checkpoints it misses are pulled from the coordinator mid-cell.
+// Killing a worker mid-sweep is safe — the coordinator re-runs its lost
+// cells locally and the sweep's outputs are byte-identical either way.
 package main
 
 import (
@@ -36,7 +36,7 @@ func run() int {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:0", "listen address")
 		addrFile = flag.String("addr-file", "", "write the bound listen address to this file (for -listen :0 scripting)")
-		snapDir  = flag.String("snapshot-dir", "", "persistent warmup-checkpoint store directory (empty = in-memory only)")
+		snapDir  = flag.String("snapshot-dir", "", "keep warmup checkpoints and measured-segment traces in this directory, for later sweeps (empty = in memory, for this process)")
 		quiet    = flag.Bool("quiet", false, "suppress per-cell log lines")
 		version  = flag.Bool("version", false, "print version and exit")
 	)

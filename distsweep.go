@@ -29,10 +29,6 @@ type sweepCellSpec struct {
 	Cfg      Config `json:"cfg"`
 	Observed bool   `json:"observed"`
 	Epoch    uint64 `json:"epoch"`
-	// SnapKey is the content address of the cell's warmup checkpoint;
-	// a worker missing it in its own store pulls it from the
-	// coordinator before simulating (or rebuilds it on a miss).
-	SnapKey string `json:"snap_key"`
 }
 
 // cellOut is the payload of one finished cell, local or remote. Manifest
@@ -56,7 +52,6 @@ func encodeSweepCell(c expCell, opt ExpOptions) (sweep.Job, error) {
 		Cfg:      opt.Cfg,
 		Observed: opt.Obs.Dir != "",
 		Epoch:    opt.Obs.Epoch,
-		SnapKey:  SnapshotKeyFor(c.name, c.p, c.scheme, opt.Cfg),
 	})
 	return sweep.Job{Spec: b}, err
 }
@@ -64,20 +59,22 @@ func encodeSweepCell(c expCell, opt ExpOptions) (sweep.Job, error) {
 // RunSweepCell executes one encoded sweep cell in this process and
 // returns its cellOut payload — the worker half of a distributed grid,
 // and the local half of every grid: runGrid runs each cell no worker
-// delivered through it. When the local cache is persistent and the
-// cell's warmup snapshot is absent, fetch (if non-nil) pulls it from the
-// coordinator into the local store first, so a fresh worker never
-// re-simulates a warmup the coordinator already holds.
+// delivered through it. When the cell's warmup checkpoint is absent
+// from cache, fetch (if non-nil) pulls it from the coordinator into the
+// cache's store first, under the key the cell will load, so a fresh
+// worker never re-simulates a warmup the coordinator already holds.
 func RunSweepCell(spec []byte, cache *SnapshotCache, fetch sweep.Fetch) ([]byte, error) {
 	var cs sweepCellSpec
 	if err := json.Unmarshal(spec, &cs); err != nil {
 		return nil, fmt.Errorf("domainvirt: bad sweep cell spec: %w", err)
 	}
-	if fetch != nil && cache.persistent() && cs.SnapKey != "" && !cache.HasStored(cs.SnapKey) {
-		if data, ok := fetch(cs.SnapKey); ok {
-			// Best-effort install; a corrupt transfer is caught by the
-			// load-time decode+probe validation and rebuilt.
-			_ = cache.putEncoded(cs.SnapKey, data)
+	if fetch != nil && cache != nil {
+		if key := SnapshotKeyFor(cs.Name, cs.Params, cs.Scheme, cs.Cfg); !cache.HasStored(key) {
+			if data, ok := fetch(key); ok {
+				// Best-effort install; a corrupt transfer is caught by the
+				// load-time decode+restore validation and rebuilt.
+				_ = cache.snaps.Put(key, data)
+			}
 		}
 	}
 	var rec *obs.Recorder

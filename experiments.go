@@ -47,12 +47,13 @@ type ExpOptions struct {
 	// Snapshots, when non-nil, shares warmup machine checkpoints across
 	// cells and grids: the first cell with a given (workload, params,
 	// scheme, structural config) simulates its setup phase once, and
-	// every later such cell starts from the checkpoint. A persistent
-	// cache (NewSnapshotCacheDir) also stores the trace of each
-	// (workload, params) measured segment, and cells on a checkpoint
-	// replay it instead of running the workload. Results and
-	// observability exports are bit-identical either way — only
-	// wall-clock time changes. See SnapshotCache.
+	// every later such cell starts from the checkpoint. The cache also
+	// stores the trace of each (workload, params) measured segment, and
+	// cells on a checkpoint replay it instead of running the workload.
+	// NewSnapshotCache keeps both in memory, NewSnapshotCacheDir in a
+	// directory that outlives the process. Results and observability
+	// exports are bit-identical either way — only wall-clock time
+	// changes. See SnapshotCache.
 	Snapshots *SnapshotCache
 
 	// SweepAddrs lists pmoworker daemon addresses. When non-empty,

@@ -39,12 +39,13 @@ func HorizonKeyFor(name string, p Params, scheme Scheme, cfg Config, ops int) st
 // counters at each interior boundary. Results are bit-identical to
 // independent Run calls with p.Ops set per horizon.
 //
-// With a persistent cache, every horizon's machine state is also stored
-// as a mid-run checkpoint: a later process re-running the sweep serves
-// completed horizons straight from disk and resumes simulation from the
-// deepest stored checkpoint at or below its first missing horizon —
-// never re-simulating the prefix. A nil cache still gets the
-// one-pass-many-horizons win, just without persistence.
+// With a cache, every horizon's machine state is also stored as a
+// mid-run checkpoint: a later call on the same cache, or on a directory
+// cache in a later process, serves completed horizons from the store
+// and resumes simulation from the deepest stored checkpoint at or below
+// its first missing horizon — never re-simulating the prefix. A nil
+// cache still gets the one-pass-many-horizons win, just without
+// checkpoints.
 func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []int, cache *SnapshotCache) ([]Result, error) {
 	p = p.Defaults()
 	if len(horizons) == 0 {
@@ -69,21 +70,20 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	// Phase 1: serve stored mid-run checkpoints. The resume point is the
 	// deepest stored horizon with no gap before it — resuming past a
 	// missing horizon would skip its capture.
-	persistent := cache.persistent()
 	resumeOp := 0
 	var resumeM *sim.Machine
-	if persistent {
+	if cache != nil {
 		contiguous := true
 		for idx, h := range horizons {
-			_, probe, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
+			m, ok := cache.loadCheckpoint(HorizonKeyFor(name, p, scheme, cfg, h), cfg, scheme)
 			if !ok {
 				contiguous = false
 				continue
 			}
-			results[idx] = probe.Result()
+			results[idx] = m.Result()
 			have[idx] = true
 			if contiguous {
-				resumeOp, resumeM = h, probe
+				resumeOp, resumeM = h, m
 			}
 		}
 	}
@@ -104,28 +104,20 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 	runP := p
 	runP.Ops = target
 	var c readyCell
-	persistOK := persistent
-	if resumeM != nil {
-		// Resume on the probe holding the checkpoint; the Go-side
+	var err error
+	if resumeM == nil {
+		c, _, err = prepare(name, runP, scheme, cfg, cache, false)
+	} else {
+		// Resume on the machine holding the checkpoint; the Go-side
 		// workload state is rebuilt by replaying setup and the first
 		// resumeOp measured ops against Discard (no simulation).
-		w, err := workload.New(name)
-		if err != nil {
-			return nil, err
+		var w workload.Workload
+		if w, err = workload.New(name); err == nil {
+			c, err = fork(w, name, runP, scheme, resumeM)
 		}
-		if c, err = fork(w, name, runP, scheme, resumeM); err != nil {
-			return nil, err
-		}
-	} else {
-		// A setup that is not forkable must not persist checkpoints: a
-		// later process would rebuild its Go state against Discard,
-		// which diverges from a faulting setup.
-		var src warmupSource
-		var err error
-		if c, src, err = prepare(name, runP, scheme, cfg, cache, false); err != nil {
-			return nil, err
-		}
-		persistOK = persistent && src != warmupNone
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	c.env.AtOpEnd = func(i int) {
@@ -146,11 +138,8 @@ func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []in
 		r := c.m.Result()
 		results[idx] = r
 		have[idx] = true
-		if persistOK && r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0 {
-			if data, err := sim.EncodeSnapshot(c.m.Snapshot()); err == nil {
-				// Best-effort, like the warmup write-through.
-				_ = cache.putEncoded(HorizonKeyFor(name, p, scheme, cfg, op), data)
-			}
+		if cache != nil && r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0 {
+			cache.keep(HorizonKeyFor(name, p, scheme, cfg, op), c.m)
 		}
 	}
 	if _, err := c.measure(name, runP, scheme, cfg, nil); err != nil {

@@ -38,45 +38,59 @@ func RunObserved(name string, p Params, scheme Scheme, cfg Config, o ObsOptions)
 // rec (if any) attached. hit reports a cell served from a cached warmup
 // checkpoint.
 func runCell(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder, cache *SnapshotCache) (res Result, hit bool, err error) {
-	c, src, err := prepare(name, p, scheme, cfg, cache, true)
+	c, hit, err := prepare(name, p, scheme, cfg, cache, true)
 	if err != nil {
 		return Result{}, false, err
 	}
 	res, err = c.measure(name, p, scheme, cfg, rec)
-	return res, src == warmupDisk || src == warmupMem, err
+	return res, hit, err
 }
 
-// prepare returns the cell set up and ready to measure: served by cache
-// when there is one (see SnapshotCache.ready; traced lets a persistent
-// cache replay or record the measured segment's trace), else simulated
-// on a fresh machine.
-func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache, traced bool) (readyCell, warmupSource, error) {
+// prepare returns the cell set up and ready to measure, and whether it
+// was served from a checkpoint it did not build: served by cache when
+// there is one (see SnapshotCache.ready; traced lets the cache replay
+// or record the measured segment's trace), else simulated on a fresh
+// machine.
+func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache, traced bool) (readyCell, bool, error) {
 	w, err := workload.New(name)
 	if err != nil {
-		return readyCell{}, warmupNone, err
+		return readyCell{}, false, err
 	}
 	if cache != nil {
 		return cache.ready(w, name, p, scheme, cfg, traced)
 	}
-	c, _, err := setUp(w, name, p, scheme, cfg)
-	return c, warmupNone, err
+	c, err := setUp(w, name, p, scheme, cfg)
+	return c, false, err
 }
 
 // setUp simulates w's setup on a fresh machine, then resets its
-// statistics so the measured phase starts from zero. forkable reports a
-// setup that raised no domain or page fault: only such a setup may be
-// replayed against Discard (see fork).
-func setUp(w workload.Workload, name string, p Params, scheme Scheme, cfg Config) (c readyCell, forkable bool, err error) {
+// statistics so the measured phase starts from zero. A setup that
+// raises a domain or page fault fails the cell, as a measured phase
+// does: so every setup that reaches a checkpoint may be replayed
+// against Discard (see fork).
+func setUp(w workload.Workload, name string, p Params, scheme Scheme, cfg Config) (readyCell, error) {
 	m := sim.NewMachine(cfg, scheme)
 	sw := &sinkSwitch{m}
 	env := workload.NewEnv(sw, p)
 	if err := w.Setup(env); err != nil {
-		return readyCell{}, false, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
+		return readyCell{}, fmt.Errorf("domainvirt: %s setup under %s: %w", name, scheme, err)
 	}
-	r := m.Result()
-	forkable = r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0
+	if err := faultErr(m, name+" setup", scheme); err != nil {
+		return readyCell{}, err
+	}
 	m.ResetStats()
-	return readyCell{m: m, w: w, env: env, sw: sw}, forkable, nil
+	return readyCell{m: m, w: w, env: env, sw: sw}, nil
+}
+
+// faultErr returns the error that fails a phase of a cell, named by
+// what, that left domain or page faults on m, and nil if it left none.
+func faultErr(m *sim.Machine, what string, scheme Scheme) error {
+	r := m.Result()
+	if r.Counters.DomainFaults == 0 && r.Counters.PageFaults == 0 {
+		return nil
+	}
+	return fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
+		what, scheme, r.Counters.DomainFaults, r.Counters.PageFaults, m.Faults())
 }
 
 // fork prepares a cell that measures on m, a machine already holding a
@@ -153,9 +167,8 @@ func (c readyCell) measure(name string, p Params, scheme Scheme, cfg Config, rec
 		return Result{}, fmt.Errorf("domainvirt: %s run under %s: %w", name, scheme, runErr)
 	}
 	res := m.Result()
-	if res.Counters.DomainFaults > 0 || res.Counters.PageFaults > 0 {
-		return res, fmt.Errorf("domainvirt: %s under %s raised %d domain / %d page faults (first: %v)",
-			name, scheme, res.Counters.DomainFaults, res.Counters.PageFaults, m.Faults())
+	if err := faultErr(m, name, scheme); err != nil {
+		return res, err
 	}
 	if c.record != nil {
 		c.record.publish()
@@ -193,6 +206,3 @@ func RunSchemesOpt(name string, p Params, opt ExpOptions, schemes ...Scheme) (ma
 	}
 	return grid.at(name, p), nil
 }
-
-// OverheadPct returns the percent execution-time overhead of r over base.
-func OverheadPct(r, base Result) float64 { return r.OverheadPct(base) }

@@ -9,7 +9,8 @@
 # capture must validate and replay, a cluster smoke (three pmod nodes
 # behind pmorouter surviving a mid-load node kill with zero errors and
 # zero isolation violations), the deterministic-replay grid gates (the
-# same grid sequential vs. parallel, vs. two fresh processes sharing a
+# same grid sequential vs. parallel on an in-memory snapshot cache that
+# replays or records every cell's trace, vs. two fresh processes sharing a
 # persistent -snapshot-dir with zero warm-run warmups and every warm
 # cell replayed from a stored trace, vs. a
 # distributed sweep over two pmoworkers with one SIGKILLed mid-run —
@@ -49,36 +50,39 @@ go test -race ./internal/serve/... ./internal/pmo/... ./internal/cluster/...
 # layer (including the checked-in FuzzRecover seed corpus, which runs as
 # regression cases under plain `go test`), and the kill-at-every-step
 # conformance suite, race-enabled; then a bounded generated sweep via
-# the CLI entry point and a short live fuzz of log-recovery.
+# the CLI entry point and a short live fuzz of log-recovery. Every fuzz
+# smoke below caps the minimization of each new input at 50 executions
+# (-fuzzminimizetime 50x), so its 5 seconds go to fuzzing; a crasher
+# still fails the gate.
 go test -race ./internal/persist/ ./internal/txn/ ./internal/crashconform/
 go run ./cmd/pmosim -crashconform -crashconform-workloads 40
-go test -fuzz FuzzRecover -fuzztime 5s -run '^$' ./internal/txn/
+go test -fuzz FuzzRecover -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/txn/
 # A short live fuzz of the snapshot decoder, the reader of the files a
 # persistent store shares between processes.
-go test -fuzz FuzzDecodeSnapshot -fuzztime 5s -run '^$' ./internal/sim/
+go test -fuzz FuzzDecodeSnapshot -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/sim/
 # And of the sweep frame decoders, the readers of every frame a
 # pmoworker and its coordinator exchange over the network.
-go test -fuzz FuzzFrames -fuzztime 5s -run '^$' ./internal/sweep/
+go test -fuzz FuzzFrames -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/sweep/
 # And of serve's BATCH container parser, differentially against the
 # router's own scan of the same container.
-go test -fuzz FuzzBatch -fuzztime 5s -run '^$' ./internal/serve/
+go test -fuzz FuzzBatch -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/serve/
 # And of serve's request and response decoders, the readers of every
 # frame pmod, pmorouter and their clients take from the network.
-go test -fuzz FuzzFrame -fuzztime 5s -run '^$' ./internal/serve/
-go test -fuzz FuzzParseResponse -fuzztime 5s -run '^$' ./internal/serve/
+go test -fuzz FuzzFrame -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/serve/
+go test -fuzz FuzzParseResponse -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/serve/
 # And of the pool file reader, the reader of every pool a store opens.
-go test -fuzz FuzzPoolFile -fuzztime 5s -run '^$' ./internal/pmo/
+go test -fuzz FuzzPoolFile -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/pmo/
 # And of the trace decoder, the reader of the trace files pmotrace takes
 # from disk: an accepted trace must survive a re-encode, and Replay's
 # windowed decode must agree with a whole-slice decode.
-go test -fuzz '^FuzzReplay$' -fuzztime 5s -run '^$' ./internal/trace/
-go test -fuzz '^FuzzWindowedDecode$' -fuzztime 5s -run '^$' ./internal/trace/
+go test -fuzz '^FuzzReplay$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/trace/
+go test -fuzz '^FuzzWindowedDecode$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/trace/
 # And of the page table against a map: its operations, its clones and its
 # codec, with entries in an order AppendTo never writes.
-go test -fuzz '^FuzzTableOps$' -fuzztime 5s -run '^$' ./internal/pagetable/
+go test -fuzz '^FuzzTableOps$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/pagetable/
 # And of the conformance corpus reader, the reader of every repro file a
 # campaign writes: an accepted program must survive a re-serialise.
-go test -fuzz '^FuzzReadProgram$' -fuzztime 5s -run '^$' ./internal/conformance/
+go test -fuzz '^FuzzReadProgram$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/conformance/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the
@@ -184,11 +188,18 @@ go build -o "$obsdir/pmobench" ./cmd/pmobench
     -csv "$obsdir/gridseq" -obs-out "$obsdir/gridseq-obs" -obs-epoch 20000 >/dev/null
 "$obsdir/pmobench" -experiment table5 -ops 2000 -quiet \
     -workers 8 -snapshot \
-    -csv "$obsdir/gridpar" -obs-out "$obsdir/gridpar-obs" -obs-epoch 20000 >/dev/null
+    -csv "$obsdir/gridpar" -obs-out "$obsdir/gridpar-obs" -obs-epoch 20000 \
+    >/dev/null 2>"$obsdir/gridpar.err"
 diff -r "$obsdir/gridseq" "$obsdir/gridpar" \
     || { echo "parallel+snapshot grid CSV diverged from sequential" >&2; exit 1; }
 diff -r "$obsdir/gridseq-obs" "$obsdir/gridpar-obs" \
     || { echo "parallel+snapshot grid obs exports diverged from sequential" >&2; exit 1; }
+# The in-memory cache takes the trace path too: each of the 24 cells
+# builds its own warmup, then replays its group's trace or records it.
+traced=$(sed -n 's/.*snapshot cache: warmups=24 mem_hits=0 disk_hits=0 disk_rejects=0 traces_replayed=\([0-9]*\) traces_recorded=\([0-9]*\)$/\1+\2/p' "$obsdir/gridpar.err")
+[ -n "$traced" ] && [ $((traced)) -eq 24 ] \
+    || { echo "in-memory snapshot cache did not build 24 warmups and trace every cell:" >&2; \
+         cat "$obsdir/gridpar.err" >&2; exit 1; }
 
 # Persistent snapshot store gate: the same grid run by two FRESH
 # processes sharing one -snapshot-dir. The first populates the store

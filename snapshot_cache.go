@@ -51,24 +51,6 @@ func structuralOf(cfg Config) structuralConfig {
 	}
 }
 
-// snapKey identifies one cacheable warmup: the workload and its resolved
-// parameters fix the setup event stream, the scheme fixes the engine,
-// and the structural configuration fixes how that stream shapes machine
-// state.
-type snapKey struct {
-	name   string
-	p      Params
-	scheme Scheme
-	sc     structuralConfig
-}
-
-// snapEntry is one warmup checkpoint; snap stays nil when the setup
-// that would have built it was not forkable.
-type snapEntry struct {
-	once sync.Once
-	snap *sim.Snapshot
-}
-
 // warmupParams normalizes p to its warmup identity: the resolved
 // defaults with the ops horizon zeroed. Setup never reads P.Ops (only
 // Run does), so cells differing only in run length share one warmup
@@ -79,27 +61,14 @@ func warmupParams(p Params) Params {
 	return p
 }
 
-// diskKey is the content address of the warmup checkpoint in a
-// persistent store: a hash over the full warmup identity plus the codec
-// and workload stream versions, so files written by an incompatible
-// codec, or by workload code that emitted another setup stream, can
-// never collide with current keys (the decoder's version check still
-// guards files tampered in place).
-func (k snapKey) diskKey() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("warmup|%s|%+v|%s|%+v|codec%d|stream%d",
-		k.name, k.p, k.scheme, k.sc, sim.SnapshotCodecVersion, workload.StreamVersion)))
-	return hex.EncodeToString(h[:16])
-}
-
 // traceKey is the content address of the trace of one measured
 // segment: a hash over the workload name, the resolved parameters with
 // Ops, the trace format version and the workload stream version. It
-// names no scheme and no Config. A cell is served from a checkpoint
-// only if its setup raised no fault, and a trace is published only if
-// its measured phase raised none either; so every access in it was
-// permitted, and the stream is the same under every scheme and cost.
-// One trace serves all the schemes of a group and every cost variant
-// of an ablation.
+// names no scheme and no Config. A cell's setup raises no fault (setUp
+// fails it otherwise), and a trace is published only if its measured
+// phase raised none either; so every access in it was permitted, and
+// the stream is the same under every scheme and cost. One trace serves
+// all the schemes of a group and every cost variant of an ablation.
 func traceKey(name string, p Params) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("trace|%s|%+v|format%d|stream%d",
 		name, p.Defaults(), trace.FormatVersion, workload.StreamVersion)))
@@ -107,29 +76,36 @@ func traceKey(name string, p Params) string {
 }
 
 // SnapshotKeyFor returns the content-addressed store key of the warmup
-// checkpoint for one experiment cell. Coordinator and workers derive the
-// same key independently, which is what lets a sweep job name a snapshot
-// without shipping it.
+// checkpoint for one experiment cell: a hash over the workload, its
+// parameters without the ops horizon, the scheme, the structural
+// configuration, and the codec and workload stream versions, so files
+// written by an incompatible codec, or by workload code that emitted
+// another setup stream, never collide with current keys. A sweep worker
+// derives the key of the checkpoint it needs from the cell alone.
 func SnapshotKeyFor(name string, p Params, scheme Scheme, cfg Config) string {
-	k := snapKey{name: name, p: warmupParams(p), scheme: scheme, sc: structuralOf(cfg)}
-	return k.diskKey()
+	h := sha256.Sum256([]byte(fmt.Sprintf("warmup|%s|%+v|%s|%+v|codec%d|stream%d",
+		name, warmupParams(p), scheme, structuralOf(cfg), sim.SnapshotCodecVersion, workload.StreamVersion)))
+	return hex.EncodeToString(h[:16])
 }
 
 // SnapshotCacheStats counts how warmups were served. The ci.sh
 // grid-twice gate asserts Warmups == 0 for a second process running
 // against a primed -snapshot-dir.
 type SnapshotCacheStats struct {
-	// Warmups is the number of setup phases actually simulated (cold
-	// cells: neither memory nor store had the checkpoint).
+	// Warmups is the number of setup phases actually simulated (the
+	// store did not hold the cell's checkpoint).
 	Warmups int
-	// MemHits is the number of cells served from an in-memory checkpoint.
+	// MemHits is the number of loads of a checkpoint this cache had
+	// built or loaded before.
 	MemHits int
-	// DiskHits is the number of checkpoints loaded from the store.
+	// DiskHits is the number of checkpoints this cache loaded first
+	// without having built them: stored by another process, or pulled
+	// from a sweep coordinator.
 	DiskHits int
-	// DiskRejects is the number of store files rejected — truncated,
-	// checksum-failing, stale codec version, or geometry-mismatched
-	// snapshots, and traces that fail their checksum, cap or decode —
-	// and rebuilt.
+	// DiskRejects is the number of stored checkpoints and traces
+	// rejected — truncated, checksum-failing, stale codec version, or
+	// geometry-mismatched snapshots, and traces that fail their
+	// checksum, cap or decode — and rebuilt.
 	DiskRejects int
 }
 
@@ -140,6 +116,39 @@ type cacheCounts struct {
 	replayed, recorded int
 }
 
+// blobStore is where a SnapshotCache keeps its bytes under content
+// addresses: encoded checkpoints in one, sealed traces in another. A
+// cache on a directory uses a *snapstore.Store and its Traces view, a
+// cache in memory two memStores. Nobody modifies a slice once it has
+// been Put or returned by Get.
+type blobStore interface {
+	Has(key string) bool
+	Get(key string) ([]byte, error)
+	Put(key string, data []byte) error
+	Delete(key string) error
+}
+
+// memStore is a blobStore in memory. Each key is written once per
+// build and read by every later cell, the access pattern sync.Map is
+// made for.
+type memStore struct{ m sync.Map }
+
+func (s *memStore) Has(key string) bool {
+	_, ok := s.m.Load(key)
+	return ok
+}
+
+func (s *memStore) Get(key string) ([]byte, error) {
+	if data, ok := s.m.Load(key); ok {
+		return data.([]byte), nil
+	}
+	return nil, snapstore.ErrMiss
+}
+
+func (s *memStore) Put(key string, data []byte) error { s.m.Store(key, data); return nil }
+
+func (s *memStore) Delete(key string) error { s.m.Delete(key); return nil }
+
 // SnapshotCache shares warmup state across experiment cells: the first
 // cell with a given (workload, params, scheme, structural-config) key
 // simulates the setup phase once and checkpoints the machine after
@@ -148,31 +157,38 @@ type cacheCounts struct {
 // path. The cache is safe for concurrent use by a grid's worker pool and
 // is meant to live across grids (Table VI and Table VII share warmups,
 // as do the rows of a cost-parameter ablation).
-// When built with NewSnapshotCacheDir, the cache is additionally backed
-// by an internal/snapstore directory: checkpoints built in this process
-// are encoded and written through, and a cold in-memory entry first
-// tries the store — so warmups survive across processes and across the
-// workers of a distributed sweep sharing one directory. The store also
-// keeps one trace of each (workload, params) measured segment: a cell
-// on a checkpoint replays it instead of running the workload's Go code,
-// or, when the store has none yet, runs live and records it (see
-// ready). A memory-only cache keeps no traces, so its later cells fork
-// from the checkpoint and run live.
+//
+// The cache keeps bytes only: encoded checkpoints, and one sealed trace
+// of each (workload, params) measured segment. NewSnapshotCache keeps
+// them in memory; NewSnapshotCacheDir keeps them in an
+// internal/snapstore directory, so they survive across processes and
+// across the workers of a distributed sweep sharing one directory.
+// Either way a cell that did not build its checkpoint decodes and
+// restores it into a machine of its own, and a cell on a checkpoint
+// replays the stored trace of its measured segment instead of running
+// the workload's Go code, or, when the store has none yet, runs live
+// and records it (see ready).
 type SnapshotCache struct {
-	mu      sync.Mutex
-	entries map[snapKey]*snapEntry
-	store   *snapstore.Store
-	traces  *snapstore.Store
-	stats   cacheCounts
+	snaps, traces blobStore
+	// entries maps each warmup key served to the *sync.Once under which
+	// its first call builds or loads the checkpoint.
+	entries sync.Map
+	// held is the set of checkpoint keys this cache has stored or
+	// loaded: a later load of one is a memory hit.
+	held sync.Map
+
+	mu    sync.Mutex
+	stats cacheCounts
 	// decoded maps a trace key to the CRC-32C of the bytes this cache
 	// wrote or decoded whole under it, so each trace is decode-checked
 	// once per cache rather than once per cell.
 	decoded map[string]uint32
 }
 
-// NewSnapshotCache returns an empty, memory-only warmup snapshot cache.
+// NewSnapshotCache returns an empty warmup snapshot cache that keeps
+// its checkpoints and traces in memory.
 func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{entries: make(map[snapKey]*snapEntry)}
+	return &SnapshotCache{snaps: new(memStore), traces: new(memStore), decoded: make(map[string]uint32)}
 }
 
 // NewSnapshotCacheDir returns a warmup snapshot cache persisted under
@@ -182,26 +198,13 @@ func NewSnapshotCacheDir(dir string) (*SnapshotCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SnapshotCache{entries: make(map[snapKey]*snapEntry), store: st, traces: st.Traces(),
-		decoded: make(map[string]uint32)}, nil
+	return &SnapshotCache{snaps: st, traces: st.Traces(), decoded: make(map[string]uint32)}, nil
 }
 
-func (c *SnapshotCache) entry(k snapKey) *snapEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	if !ok {
-		e = &snapEntry{}
-		c.entries[k] = e
-	}
-	return e
-}
-
-// Len returns the number of cached warmup checkpoints.
-func (c *SnapshotCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// Len returns the number of warmup keys the cache has served.
+func (c *SnapshotCache) Len() (n int) {
+	c.entries.Range(func(any, any) bool { n++; return true })
+	return n
 }
 
 // Stats returns a copy of the serving counters.
@@ -212,8 +215,7 @@ func (c *SnapshotCache) Stats() SnapshotCacheStats {
 }
 
 // TraceStats reports how many cells this cache measured by replaying a
-// stored trace, and how many traces it recorded and wrote to the
-// store. Both stay zero for a memory-only cache.
+// stored trace, and how many traces it recorded and stored.
 func (c *SnapshotCache) TraceStats() (replayed, recorded int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -226,69 +228,68 @@ func (c *SnapshotCache) count(f func(*cacheCounts)) {
 	c.mu.Unlock()
 }
 
-// persistent reports whether the cache is backed by an on-disk store.
-func (c *SnapshotCache) persistent() bool { return c != nil && c.store != nil }
-
-// HasStored reports whether the backing store holds key. Memory-only
-// caches hold nothing.
+// HasStored reports whether the cache's store holds the checkpoint
+// under key.
 func (c *SnapshotCache) HasStored(key string) bool {
-	return c.store != nil && c.store.Has(key)
+	return c.snaps.Has(key)
 }
 
-// getEncoded returns the stored bytes for key, ok=false when absent or
-// when the cache is nil or memory-only. The bytes are the encoded
-// snapshot verbatim; callers decode — and must treat a decode failure
-// as a miss. It is the coordinator's answer to a worker's NEEDSNAP.
+// getEncoded returns the checkpoint bytes stored under key, ok=false
+// when absent or when the cache is nil. It is the coordinator's answer
+// to a worker's NEEDSNAP; the worker validates what it gets when it
+// loads it.
 func (c *SnapshotCache) getEncoded(key string) ([]byte, bool) {
-	if !c.persistent() {
+	if c == nil {
 		return nil, false
 	}
-	data, err := c.store.Get(key)
+	data, err := c.snaps.Get(key)
 	return data, err == nil
 }
 
-// putEncoded writes pre-encoded snapshot bytes through to the store
-// (no-op for memory-only caches). A worker uses it to install snapshots
-// pulled from the coordinator; the horizon layer uses it for mid-run
-// checkpoints.
-func (c *SnapshotCache) putEncoded(key string, data []byte) error {
-	if c.store == nil {
-		return nil
+// keep encodes m's state and stores it under key as a checkpoint this
+// cache built, so that its later loads count as memory hits. Like every
+// write-through it is best-effort: a checkpoint the store does not take
+// is rebuilt by the next call that needs it.
+func (c *SnapshotCache) keep(key string, m *sim.Machine) {
+	data, err := sim.EncodeSnapshot(m.Snapshot())
+	if err != nil || c.snaps.Put(key, data) != nil {
+		return
 	}
-	return c.store.Put(key, data)
+	c.held.Store(key, true)
 }
 
-// loadCheckpoint tries to serve a stored checkpoint (warmup or mid-run)
-// under key. A decodable file is validated by a restore into a probe
-// machine of the cell's geometry, so every later Restore from the
-// returned snapshot is panic-free; any rejection deletes the file and
-// reports a miss (the caller rebuilds and overwrites). The probe is
-// returned alongside: it holds exactly the checkpointed state, so a
-// caller may run on it instead of restoring a machine of its own, and
-// for a mid-run checkpoint its Result is exactly the Result an
-// independent run at that horizon would produce.
-func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Snapshot, *sim.Machine, bool) {
-	if c.store == nil {
-		return nil, nil, false
-	}
-	data, err := c.store.Get(key)
+// loadCheckpoint restores the checkpoint (warmup or mid-run) stored
+// under key into a fresh machine of the cell's geometry. RestoreSafe
+// validates it, so the machine is safe to run on, and for a mid-run
+// checkpoint its Result is exactly the Result an independent run at
+// that horizon would produce. Bytes that fail to decode or restore are
+// deleted and counted in DiskRejects; every failure reports a miss, and
+// the caller rebuilds. A load is a DiskHit the first time the cache
+// loads a key it did not build, and a MemHit after that.
+func (c *SnapshotCache) loadCheckpoint(key string, cfg Config, scheme Scheme) (*sim.Machine, bool) {
+	data, err := c.snaps.Get(key)
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
+	m := sim.NewMachine(cfg, scheme)
 	snap, err := sim.DecodeSnapshot(data)
+	if err == nil {
+		err = m.RestoreSafe(snap)
+	}
 	if err != nil {
 		c.count(func(s *cacheCounts) { s.DiskRejects++ })
-		c.store.Delete(key)
-		return nil, nil, false
+		c.snaps.Delete(key)
+		return nil, false
 	}
-	probe := sim.NewMachine(cfg, scheme)
-	if err := probe.RestoreSafe(snap); err != nil {
-		c.count(func(s *cacheCounts) { s.DiskRejects++ })
-		c.store.Delete(key)
-		return nil, nil, false
-	}
-	c.count(func(s *cacheCounts) { s.DiskHits++ })
-	return snap, probe, true
+	_, again := c.held.LoadOrStore(key, true)
+	c.count(func(s *cacheCounts) {
+		if again {
+			s.MemHits++
+		} else {
+			s.DiskHits++
+		}
+	})
+	return m, true
 }
 
 // maxTraceBytes caps a stored trace's encoded size. A recording that
@@ -301,8 +302,8 @@ const maxTraceBytes = 32 << 20
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // loadTrace returns the stored trace under key, verified by
-// verifyTrace. A file that fails is deleted and counted in DiskRejects;
-// the caller then measures live and records the trace again.
+// verifyTrace. A trace that fails is deleted and counted in
+// DiskRejects; the caller then measures live and records it again.
 func (c *SnapshotCache) loadTrace(key string) ([]byte, bool) {
 	data, err := c.traces.Get(key)
 	if err != nil {
@@ -383,7 +384,7 @@ func (r *traceRecording) Write(b []byte) (int, error) {
 // its CRC-32C and writes it through. A recording past the cap is
 // dropped; a failed write is harmless, like the checkpoint
 // write-through. Cells recording the same key at once write identical
-// bytes, and the store's atomic rename makes the race harmless.
+// bytes, and either store's Put is atomic, so the race is harmless.
 func (r *traceRecording) publish() {
 	if r.w.Close() != nil || r.over {
 		return
@@ -395,93 +396,69 @@ func (r *traceRecording) publish() {
 	}
 }
 
-// warmupSource reports how a cell's warmup was served.
-type warmupSource int
-
-const (
-	warmupNone  warmupSource = iota // no checkpoint: uncached, or a setup that is not forkable
-	warmupBuilt                     // setup simulated by this call, then checkpointed
-	warmupDisk                      // loaded from the backing store
-	warmupMem                       // already resident in memory
-)
-
-// ready serves one cell through the cache, set up and ready to measure.
-// The call whose once.Do materializes the warmup checkpoint starts its
-// cell on the machine that holds it: a builder on the machine its
-// simulated Setup warmed, with w populated, exactly as an uncached cell;
-// a disk load on the probe loadCheckpoint validated. Only calls that
-// find the checkpoint already in memory restore a machine of their own.
-// A setup that is not forkable is never checkpointed: its builder
-// measures its own machine, and every later call sets up afresh.
+// ready serves one cell through the cache, set up and ready to measure,
+// and reports whether it was a hit: served from a checkpoint it did not
+// build. Each call first loads the checkpoint from the store into a
+// machine of its own (see loadCheckpoint). A call that finds none
+// builds it: it simulates the setup, stores the checkpoint, and goes on
+// from the machine its Setup warmed with w populated, exactly as an
+// uncached cell. The first call of a key does this under the key's
+// Once, so concurrent calls wait for one build instead of racing to
+// make their own; a later call rebuilds only if the checkpoint has
+// vanished from the store. A setup that raises a fault fails the cell
+// and stores nothing.
 //
-// On a checkpoint, a traced call to a persistent cache then looks for
-// the trace of the cell's measured segment. If the store holds a valid
-// one, the cell replays it: no fork, and a builder drops the Go-side
-// state its Setup built. Otherwise the cell measures live — a builder
-// on its own machine, any other call after a fork — through a Tee that
-// records the trace for every later cell of the same (workload,
-// params). No call waits on another's recording: rivals record the
-// same bytes.
+// On a checkpoint, a traced call then looks for the trace of the cell's
+// measured segment. If the store holds a valid one, the cell replays
+// it: no fork, and a builder drops the Go-side state its Setup built.
+// Otherwise the cell measures live — a builder on its own machine, any
+// other call after a fork — through a Tee that records the trace for
+// every later cell of the same (workload, params). No call waits on
+// another's recording: rivals record the same bytes.
 //
-// Safety: forked cells replay Setup against a Discard sink, which
-// permits everything. That is behaviorally identical to the real setup
-// only if the real setup never had an access denied (a denied pool read
-// returns zeros and could steer subsequent setup work), so the builder
-// demands zero domain and page faults during the simulated setup before
-// caching.
-func (c *SnapshotCache) ready(w workload.Workload, name string, p Params, scheme Scheme, cfg Config, traced bool) (readyCell, warmupSource, error) {
-	key := snapKey{name: name, p: warmupParams(p), scheme: scheme, sc: structuralOf(cfg)}
-	e := c.entry(key)
+// Safety: a forked cell replays Setup against Discard, which permits
+// everything. That is behaviorally identical to the real setup only if
+// the real setup never had an access denied (a denied pool read returns
+// zeros and could steer subsequent setup work); setUp guarantees it for
+// every stored checkpoint by failing a setup that faults.
+func (c *SnapshotCache) ready(w workload.Workload, name string, p Params, scheme Scheme, cfg Config, traced bool) (readyCell, bool, error) {
+	key := SnapshotKeyFor(name, p, scheme, cfg)
 	var (
-		cell readyCell
-		src  = warmupMem
-		err  error
+		cell  readyCell
+		built bool
+		err   error
 	)
-	e.once.Do(func() {
-		if snap, probe, ok := c.loadCheckpoint(key.diskKey(), cfg, scheme); ok {
-			e.snap, cell.m, src = snap, probe, warmupDisk
+	serve := func() {
+		if m, ok := c.loadCheckpoint(key, cfg, scheme); ok {
+			cell.m = m
 			return
 		}
 		c.count(func(s *cacheCounts) { s.Warmups++ })
-		var forkable bool
-		cell, forkable, err = setUp(w, name, p, scheme, cfg)
-		if err != nil || !forkable {
-			src = warmupNone
-			return
+		built = true
+		if cell, err = setUp(w, name, p, scheme, cfg); err == nil {
+			c.keep(key, cell.m)
 		}
-		src = warmupBuilt
-		e.snap = cell.m.Snapshot()
-		if c.store != nil {
-			if data, encErr := sim.EncodeSnapshot(e.snap); encErr == nil {
-				// Best-effort write-through: a full disk degrades to the
-				// in-memory cache, it does not fail the cell.
-				_ = c.store.Put(key.diskKey(), data)
-			}
-		}
-	})
-	switch {
-	case src == warmupNone:
-		return cell, src, err // this call simulated a setup that is not forkable
-	case e.snap == nil:
-		// An earlier call found the setup not forkable.
-		cell, _, err = setUp(w, name, p, scheme, cfg)
-		return cell, warmupNone, err
-	case src == warmupMem:
-		c.count(func(s *cacheCounts) { s.MemHits++ })
-		cell.m = sim.NewMachine(cfg, scheme)
-		cell.m.Restore(e.snap)
+	}
+	first := false
+	once, _ := c.entries.LoadOrStore(key, new(sync.Once))
+	once.(*sync.Once).Do(func() { first = true; serve() })
+	if !first {
+		serve()
+	}
+	if err != nil {
+		return readyCell{}, false, err
 	}
 	tkey := ""
-	if traced && c.store != nil {
+	if traced {
 		tkey = traceKey(name, p)
 		if tr, ok := c.loadTrace(tkey); ok {
 			c.count(func(s *cacheCounts) { s.replayed++ })
-			return readyCell{m: cell.m, replay: tr}, src, nil
+			return readyCell{m: cell.m, replay: tr}, !built, nil
 		}
 	}
-	if src != warmupBuilt {
+	if !built {
 		if cell, err = fork(w, name, p, scheme, cell.m); err != nil {
-			return readyCell{}, warmupNone, err
+			return readyCell{}, false, err
 		}
 	}
 	cell.sw.Sink = cell.m
@@ -489,7 +466,7 @@ func (c *SnapshotCache) ready(w workload.Workload, name string, p Params, scheme
 		cell.record = c.newRecording(tkey)
 		cell.sw.Sink = trace.NewTee(cell.m, cell.record.w)
 	}
-	return cell, src, nil
+	return cell, !built, nil
 }
 
 // RunCached is Run with warmup snapshot reuse through cache (nil cache

@@ -14,11 +14,13 @@ func cacheParams() domainvirt.Params {
 }
 
 // TestSnapshotCacheBitIdentical is the cache's referee: for every scheme
-// the uncached Run, the cache-building RunCached, and the
-// checkpoint-forking RunCached must return the exact same Result — and
-// the hit flag must report which path served each call. One multi-PMO
-// and one single-PMO (WHISPER) workload keep both setup shapes covered
-// without making the race-enabled suite crawl.
+// the uncached Run, the cache-building RunCached, and the RunCached
+// served from the memory cache's checkpoint must return the exact same
+// Result — and the hit flag must report which path served each call.
+// The build records the measured segment's trace and the hit replays
+// it, as on a directory cache. One multi-PMO and one single-PMO
+// (WHISPER) workload keep both setup shapes covered without making the
+// race-enabled suite crawl.
 func TestSnapshotCacheBitIdentical(t *testing.T) {
 	cfg := domainvirt.DefaultConfig()
 	cfg.Cores = 2
@@ -43,16 +45,18 @@ func TestSnapshotCacheBitIdentical(t *testing.T) {
 			if build != want {
 				t.Errorf("%s/%s: cache-building Result differs from Run", name, s)
 			}
-			fork, hit, err := domainvirt.RunCached(name, cacheParams(), s, cfg, cache)
+			checkTraceStats(t, name+"/"+string(s)+" build", cache, 0, 1)
+			served, hit, err := domainvirt.RunCached(name, cacheParams(), s, cfg, cache)
 			if err != nil {
-				t.Fatalf("%s/%s cached fork: %v", name, s, err)
+				t.Fatalf("%s/%s cached hit: %v", name, s, err)
 			}
 			if !hit {
 				t.Errorf("%s/%s: second cached run missed the snapshot", name, s)
 			}
-			if fork != want {
-				t.Errorf("%s/%s: checkpoint-forked Result differs from Run", name, s)
+			if served != want {
+				t.Errorf("%s/%s: checkpoint-served Result differs from Run", name, s)
 			}
+			checkTraceStats(t, name+"/"+string(s)+" hit", cache, 1, 1)
 			if cache.Len() != 1 {
 				t.Errorf("%s/%s: cache holds %d entries, want 1", name, s, cache.Len())
 			}

@@ -210,6 +210,46 @@ func TestSnapshotStoreHostileFiles(t *testing.T) {
 	}
 }
 
+// TestSnapshotStoreVanishedCheckpoint: a checkpoint deleted from the
+// store after this cache built it is rebuilt by the next call, which
+// reports no hit, counts a second warmup and measures the uncached
+// Result. A store that loses a file costs a rebuild, never a wrong
+// result.
+func TestSnapshotStoreVanishedCheckpoint(t *testing.T) {
+	p := cacheParams()
+	cfg := domainvirt.DefaultConfig()
+	s := domainvirt.SchemeMPKVirt
+	want, err := domainvirt.Run("avl", p, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cache, err := domainvirt.NewSnapshotCacheDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := domainvirt.RunCached("avl", p, s, cfg, cache); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(storeFile(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	got, hit, err := domainvirt.RunCached("avl", p, s, cfg, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Error("a call whose checkpoint vanished reported a hit")
+	}
+	if got != want {
+		t.Errorf("rebuilt cell diverged:\n got: %+v\nwant: %+v", got, want)
+	}
+	if st := cache.Stats(); st != (domainvirt.SnapshotCacheStats{Warmups: 2}) {
+		t.Errorf("stats = %+v, want 2 warmups only", st)
+	}
+	storeFile(t, dir) // the rebuild wrote the checkpoint back
+}
+
 // TestSnapshotStoreGeometryMismatch: a valid snapshot file planted under
 // a key whose cell expects different geometry must be rejected via
 // RestoreSafe, not crash the process.
