@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"domainvirt/internal/obs"
+	"domainvirt/internal/sim"
 	"domainvirt/internal/sweep"
 )
 
@@ -29,6 +31,45 @@ type sweepCellSpec struct {
 	Cfg      Config `json:"cfg"`
 	Observed bool   `json:"observed"`
 	Epoch    uint64 `json:"epoch"`
+}
+
+// check rejects a spec whose scheme is unknown or one of whose sizes
+// passes a fixed bound. A spec arrives over the network, and
+// RunSweepCell builds a machine and a workload from it: serveConn's
+// recover catches a panic there, not an allocation without limit. Each
+// bound admits every caller in the repo with room: the paper's scale
+// (1,024 PMOs, 1M micro ops, 2 GiB WHISPER pools), Table II's machine
+// and the ablations' 4 cores and 64-entry domain buffers.
+func (cs sweepCellSpec) check() error {
+	if !slices.Contains(sim.AllSchemes, cs.Scheme) {
+		return fmt.Errorf("domainvirt: sweep cell spec names unknown scheme %q", cs.Scheme)
+	}
+	c, p := cs.Cfg, cs.Params
+	for _, b := range []struct {
+		what   string
+		v, max int64
+	}{
+		{"Cores", int64(c.Cores), 64},
+		{"L1TLB.Entries", int64(c.L1TLB.Entries), 1 << 14},
+		{"L2TLB.Entries", int64(c.L2TLB.Entries), 1 << 14},
+		{"L1D.SizeBytes", int64(c.L1D.SizeBytes), 1 << 20},
+		{"L2.SizeBytes", int64(c.L2.SizeBytes), 64 << 20},
+		{"DTTLBEntries", int64(c.DTTLBEntries), 1 << 12},
+		{"PTLBEntries", int64(c.PTLBEntries), 1 << 12},
+		{"NumPMOs", int64(p.NumPMOs), 4096},
+		{"Threads", int64(p.Threads), 64},
+		{"InitialElems", int64(p.InitialElems), 1 << 16},
+		// Per-pool placement fills one structure per pool.
+		{"NumPMOs×InitialElems", int64(p.NumPMOs) * int64(p.InitialElems), 1 << 24},
+		{"Ops", int64(p.Ops), 1 << 26},
+		{"PoolSize", int64(p.PoolSize), 4 << 30},
+		{"ValueSize", int64(p.ValueSize), 1 << 16},
+	} {
+		if b.v < 0 || b.v > b.max {
+			return fmt.Errorf("domainvirt: sweep cell spec %s %d outside [0, %d]", b.what, b.v, b.max)
+		}
+	}
+	return nil
 }
 
 // cellOut is the payload of one finished cell, local or remote. Manifest
@@ -67,6 +108,9 @@ func RunSweepCell(spec []byte, cache *SnapshotCache, fetch sweep.Fetch) ([]byte,
 	var cs sweepCellSpec
 	if err := json.Unmarshal(spec, &cs); err != nil {
 		return nil, fmt.Errorf("domainvirt: bad sweep cell spec: %w", err)
+	}
+	if err := cs.check(); err != nil {
+		return nil, err
 	}
 	if fetch != nil && cache != nil {
 		if key := SnapshotKeyFor(cs.Name, cs.Params, cs.Scheme, cs.Cfg); !cache.HasStored(key) {

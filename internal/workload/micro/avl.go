@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"domainvirt/internal/pmo"
-	"domainvirt/internal/workload"
 )
 
 // AVL node layout: key u64, left OID, right OID, height u64, then the
@@ -20,26 +19,13 @@ const (
 // AVL is a persistent AVL tree whose nodes are scattered across pools.
 // The root OID lives in the home pool's root slot.
 type AVL struct {
-	mp       *MultiPool
 	home     *pmo.Pool // holds the root pointer
-	keyspace uint64
 	nodeSize uint64
 }
 
-// NewAVL wraps mp as an AVL tree rooted in the home pool.
-func NewAVL(mp *MultiPool, env *workload.Env) *AVL {
-	return NewAVLHomed(mp, env, mp.Home())
-}
-
-// NewAVLHomed roots the tree's pointer in an explicit pool (per-pool
-// placement keeps one tree per pool).
-func NewAVLHomed(mp *MultiPool, env *workload.Env, home *pmo.Pool) *AVL {
-	return &AVL{
-		mp:       mp,
-		home:     home,
-		keyspace: env.P.Keyspace(),
-		nodeSize: avlHdr + uint64(env.P.ValueSize),
-	}
+// NewAVL returns an empty AVL tree whose root pointer lives in home.
+func NewAVL(ctx *OpCtx, home *pmo.Pool) *AVL {
+	return &AVL{home: home, nodeSize: avlHdr + uint64(ctx.Env.P.ValueSize)}
 }
 
 func (t *AVL) root() pmo.OID { return t.home.Root() }
@@ -303,81 +289,4 @@ func (t *AVL) Validate(ctx *OpCtx) error {
 	}
 	_, err := check(t.root(), 0, ^uint64(0))
 	return err
-}
-
-// avlWorkload is the registered "avl" benchmark.
-type avlWorkload struct {
-	mp    *MultiPool
-	tree  *AVL   // scattered placement
-	trees []*AVL // per-pool placement ablation
-}
-
-func init() {
-	workload.Register("avl", func() workload.Workload { return &avlWorkload{} })
-}
-
-// Name implements workload.Workload.
-func (w *avlWorkload) Name() string { return "avl" }
-
-// Setup implements workload.Workload.
-func (w *avlWorkload) Setup(env *workload.Env) error {
-	mp, err := SetupPools(env, "avl")
-	if err != nil {
-		return err
-	}
-	w.mp = mp
-	ctx := NewOpCtx(env, mp)
-	if env.P.PerPool() {
-		for _, p := range mp.Pools {
-			tr := NewAVLHomed(mp, env, p)
-			ctx.Pin = p
-			for i := 0; i < env.P.InitialElems; i++ {
-				if err := tr.Insert(ctx, randomKey(env, tr.keyspace)); err != nil {
-					return err
-				}
-				ctx.End()
-			}
-			w.trees = append(w.trees, tr)
-		}
-		ctx.Pin = nil
-		return nil
-	}
-	w.tree = NewAVL(mp, env)
-	for i := 0; i < env.P.InitialElems; i++ {
-		if err := w.tree.Insert(ctx, randomKey(env, w.tree.keyspace)); err != nil {
-			return err
-		}
-		ctx.End()
-	}
-	return nil
-}
-
-// Run implements workload.Workload: 90% inserts, 10% deletes, random
-// keys, a write window per operation.
-func (w *avlWorkload) Run(env *workload.Env) error {
-	ctx := NewOpCtx(env, w.mp)
-	for i := 0; i < env.P.Ops; i++ {
-		env.Space.Thread = opThread(env, i)
-		env.Space.Instr(env.P.InstrPerOp)
-		tree := w.tree
-		if env.P.PerPool() {
-			idx := env.Rng.Intn(len(w.trees))
-			tree = w.trees[idx]
-			ctx.Pin = w.mp.Pools[idx]
-		}
-		key := randomKey(env, tree.keyspace)
-		if env.Rng.Intn(100) < 90 {
-			if err := tree.Insert(ctx, key); err != nil {
-				return err
-			}
-		} else {
-			if _, err := tree.Delete(ctx, key); err != nil {
-				return err
-			}
-		}
-		ctx.End()
-		ctx.Pin = nil
-		env.OpDone(i)
-	}
-	return nil
 }

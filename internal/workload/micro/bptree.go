@@ -36,24 +36,27 @@ const (
 // orders of magnitude more elements.
 const btElemFactor = 32
 
+// btSize scales the key space and element count of the scattered tree
+// by btElemFactor; per-pool trees stay small.
+func btSize(p workload.Params) (uint64, int) {
+	if p.PerPool() {
+		return plainSize(p)
+	}
+	return p.Keyspace() * btElemFactor, p.InitialElems * btElemFactor
+}
+
 // BPTree is a persistent B+tree whose 4 KB nodes are scattered across
 // pools; its flat fan-out gives it the best locality of the
 // microbenchmarks (the paper's explanation for its late crossover point).
 type BPTree struct {
-	mp       *MultiPool
-	home     *pmo.Pool
-	keyspace uint64
+	mp   *MultiPool
+	home *pmo.Pool
 }
 
-// NewBPTree wraps mp as a B+tree, creating the root leaf in a random
-// pool.
-func NewBPTree(mp *MultiPool, env *workload.Env, ctx *OpCtx) (*BPTree, error) {
-	return NewBPTreeHomed(mp, env, ctx, mp.Home())
-}
-
-// NewBPTreeHomed roots the tree's pointer in an explicit pool.
-func NewBPTreeHomed(mp *MultiPool, env *workload.Env, ctx *OpCtx, home *pmo.Pool) (*BPTree, error) {
-	t := &BPTree{mp: mp, home: home, keyspace: env.P.Keyspace() * btElemFactor}
+// NewBPTree returns a B+tree whose root pointer lives in home. Its root
+// leaf is allocated through ctx, in the pool ctx.RandomPool picks.
+func NewBPTree(ctx *OpCtx, home *pmo.Pool) (*BPTree, error) {
+	t := &BPTree{mp: ctx.MP, home: home}
 	root, err := t.newLeaf(ctx)
 	if err != nil {
 		return nil, err
@@ -337,87 +340,4 @@ func (t *BPTree) Validate(ctx *OpCtx) error {
 	}
 	_, err := walk(t.root(), 0)
 	return err
-}
-
-// btWorkload is the registered "bt" benchmark.
-type btWorkload struct {
-	mp    *MultiPool
-	tree  *BPTree
-	trees []*BPTree // per-pool placement ablation
-}
-
-func init() {
-	workload.Register("bt", func() workload.Workload { return &btWorkload{} })
-}
-
-// Name implements workload.Workload.
-func (w *btWorkload) Name() string { return "bt" }
-
-// Setup implements workload.Workload.
-func (w *btWorkload) Setup(env *workload.Env) error {
-	mp, err := SetupPools(env, "bt")
-	if err != nil {
-		return err
-	}
-	w.mp = mp
-	ctx := NewOpCtx(env, mp)
-	if env.P.PerPool() {
-		for _, p := range mp.Pools {
-			tr, err := NewBPTreeHomed(mp, env, ctx, p)
-			if err != nil {
-				return err
-			}
-			tr.keyspace = env.P.Keyspace() // per-pool trees stay small
-			ctx.Pin = p
-			for i := 0; i < env.P.InitialElems; i++ {
-				if err := tr.Insert(ctx, randomKey(env, tr.keyspace)); err != nil {
-					return err
-				}
-				ctx.End()
-			}
-			w.trees = append(w.trees, tr)
-		}
-		ctx.Pin = nil
-		return nil
-	}
-	w.tree, err = NewBPTree(mp, env, ctx)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < env.P.InitialElems*btElemFactor; i++ {
-		if err := w.tree.Insert(ctx, randomKey(env, w.tree.keyspace)); err != nil {
-			return err
-		}
-		ctx.End()
-	}
-	return nil
-}
-
-// Run implements workload.Workload.
-func (w *btWorkload) Run(env *workload.Env) error {
-	ctx := NewOpCtx(env, w.mp)
-	for i := 0; i < env.P.Ops; i++ {
-		env.Space.Thread = opThread(env, i)
-		env.Space.Instr(env.P.InstrPerOp)
-		tree := w.tree
-		if env.P.PerPool() {
-			idx := env.Rng.Intn(len(w.trees))
-			tree = w.trees[idx]
-			ctx.Pin = w.mp.Pools[idx]
-		}
-		key := randomKey(env, tree.keyspace)
-		if env.Rng.Intn(100) < 90 {
-			if err := tree.Insert(ctx, key); err != nil {
-				return err
-			}
-		} else {
-			if _, err := tree.Delete(ctx, key); err != nil {
-				return err
-			}
-		}
-		ctx.End()
-		ctx.Pin = nil
-		env.OpDone(i)
-	}
-	return nil
 }

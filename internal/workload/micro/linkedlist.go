@@ -19,38 +19,20 @@ const (
 // access could cause a TLB miss". The key universe is bounded so the
 // steady-state traversal length stays in the hundreds.
 type LinkedList struct {
-	mp       *MultiPool
 	home     *pmo.Pool
-	keyspace uint64
 	nodeSize uint64
 }
 
-// llKeyspace bounds the list length: duplicates update in place.
-func llKeyspace(initialElems int) uint64 {
-	ks := uint64(initialElems / 4)
-	if ks < 64 {
-		ks = 64
-	}
-	if ks > 512 {
-		ks = 512
-	}
-	return ks
+// llSize bounds the list length, InitialElems/4 keys clamped to
+// [64, 512]: duplicates update in place.
+func llSize(p workload.Params) (uint64, int) {
+	return uint64(min(max(p.InitialElems/4, 64), 512)), p.InitialElems
 }
 
-// NewLinkedList wraps mp as a sorted list; the head OID lives in the home
-// pool's root slot.
-func NewLinkedList(mp *MultiPool, env *workload.Env) *LinkedList {
-	return NewLinkedListHomed(mp, env, mp.Home())
-}
-
-// NewLinkedListHomed roots the list head in an explicit pool.
-func NewLinkedListHomed(mp *MultiPool, env *workload.Env, home *pmo.Pool) *LinkedList {
-	return &LinkedList{
-		mp:       mp,
-		home:     home,
-		keyspace: llKeyspace(env.P.InitialElems),
-		nodeSize: llHdr + uint64(env.P.ValueSize),
-	}
+// NewLinkedList returns an empty sorted list whose head OID lives in
+// home's root slot.
+func NewLinkedList(ctx *OpCtx, home *pmo.Pool) *LinkedList {
+	return &LinkedList{home: home, nodeSize: llHdr + uint64(ctx.Env.P.ValueSize)}
 }
 
 func (t *LinkedList) head() pmo.OID { return t.home.Root() }
@@ -131,82 +113,6 @@ func (t *LinkedList) Validate(ctx *OpCtx) error {
 		if keys[i-1] >= keys[i] {
 			return fmt.Errorf("linkedlist: unsorted at %d (%d >= %d)", i, keys[i-1], keys[i])
 		}
-	}
-	return nil
-}
-
-// llWorkload is the registered "ll" benchmark.
-type llWorkload struct {
-	mp    *MultiPool
-	list  *LinkedList
-	lists []*LinkedList // per-pool placement ablation
-}
-
-func init() {
-	workload.Register("ll", func() workload.Workload { return &llWorkload{} })
-}
-
-// Name implements workload.Workload.
-func (w *llWorkload) Name() string { return "ll" }
-
-// Setup implements workload.Workload.
-func (w *llWorkload) Setup(env *workload.Env) error {
-	mp, err := SetupPools(env, "ll")
-	if err != nil {
-		return err
-	}
-	w.mp = mp
-	ctx := NewOpCtx(env, mp)
-	if env.P.PerPool() {
-		for _, p := range mp.Pools {
-			ls := NewLinkedListHomed(mp, env, p)
-			ctx.Pin = p
-			for i := 0; i < env.P.InitialElems; i++ {
-				if err := ls.Insert(ctx, randomKey(env, ls.keyspace)); err != nil {
-					return err
-				}
-				ctx.End()
-			}
-			w.lists = append(w.lists, ls)
-		}
-		ctx.Pin = nil
-		return nil
-	}
-	w.list = NewLinkedList(mp, env)
-	for i := 0; i < env.P.InitialElems; i++ {
-		if err := w.list.Insert(ctx, randomKey(env, w.list.keyspace)); err != nil {
-			return err
-		}
-		ctx.End()
-	}
-	return nil
-}
-
-// Run implements workload.Workload.
-func (w *llWorkload) Run(env *workload.Env) error {
-	ctx := NewOpCtx(env, w.mp)
-	for i := 0; i < env.P.Ops; i++ {
-		env.Space.Thread = opThread(env, i)
-		env.Space.Instr(env.P.InstrPerOp)
-		list := w.list
-		if env.P.PerPool() {
-			idx := env.Rng.Intn(len(w.lists))
-			list = w.lists[idx]
-			ctx.Pin = w.mp.Pools[idx]
-		}
-		key := randomKey(env, list.keyspace)
-		if env.Rng.Intn(100) < 90 {
-			if err := list.Insert(ctx, key); err != nil {
-				return err
-			}
-		} else {
-			if _, err := list.Delete(ctx, key); err != nil {
-				return err
-			}
-		}
-		ctx.End()
-		ctx.Pin = nil
-		env.OpDone(i)
 	}
 	return nil
 }

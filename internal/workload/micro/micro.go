@@ -9,6 +9,12 @@
 // permission for all PMOs at setup; write permission for a PMO is enabled
 // just before a data-structure operation writes it and disabled right
 // after the operation completes.
+//
+// The set benchmarks (avl, rbt, bt, ll) share one driver, setWorkload
+// (set.go): a table gives each one's constructor and sizes, and the
+// driver's Setup and Run place, fill and operate on the structure the
+// same way for all four. String swap keeps its own driver, since its
+// operation is a swap rather than a set insert or delete.
 package micro
 
 import (

@@ -57,8 +57,8 @@ func TestAVLAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewAVL(mp, env)
 	ctx := NewOpCtx(env, mp)
+	tree := NewAVL(ctx, mp.Home())
 	refCheck(t, "avl",
 		func(k uint64) error { defer ctx.End(); return tree.Insert(ctx, k) },
 		func(k uint64) (bool, error) { defer ctx.End(); return tree.Delete(ctx, k) },
@@ -75,7 +75,7 @@ func TestRBTAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewOpCtx(env, mp)
-	tree, err := NewRBT(mp, env, ctx)
+	tree, err := NewRBT(ctx, mp.Home())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestBPTreeAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewOpCtx(env, mp)
-	tree, err := NewBPTree(mp, env, ctx)
+	tree, err := NewBPTree(ctx, mp.Home())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBPTreeSplitsDeepTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewOpCtx(env, mp)
-	tree, err := NewBPTree(mp, env, ctx)
+	tree, err := NewBPTree(ctx, mp.Home())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestLinkedListAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := NewLinkedList(mp, env)
 	ctx := NewOpCtx(env, mp)
+	list := NewLinkedList(ctx, mp.Home())
 	refCheck(t, "ll",
 		func(k uint64) error { defer ctx.End(); return list.Insert(ctx, k) },
 		func(k uint64) (bool, error) { defer ctx.End(); return list.Delete(ctx, k) },
@@ -274,10 +274,10 @@ func TestPerPoolPlacement(t *testing.T) {
 	if err := w.Run(env); err != nil {
 		t.Fatal(err)
 	}
-	aw := w.(*avlWorkload)
-	ctx := NewOpCtx(env, aw.mp)
-	for i, tr := range aw.trees {
-		if err := tr.Validate(ctx); err != nil {
+	sw := w.(*setWorkload)
+	ctx := NewOpCtx(env, sw.mp)
+	for i, tr := range sw.sets {
+		if err := tr.(*AVL).Validate(ctx); err != nil {
 			t.Errorf("per-pool tree %d invalid: %v", i, err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"domainvirt/internal/pmo"
-	"domainvirt/internal/workload"
 )
 
 // Red-black node layout: key u64, left OID, right OID, parent OID,
@@ -25,27 +24,15 @@ const (
 // sentinel NIL node in the home pool). The root OID lives in the home
 // pool's root slot.
 type RBT struct {
-	mp       *MultiPool
 	home     *pmo.Pool
 	nilNode  pmo.OID
-	keyspace uint64
 	nodeSize uint64
 }
 
-// NewRBT wraps mp as a red-black tree, allocating the sentinel in the
-// home pool.
-func NewRBT(mp *MultiPool, env *workload.Env, ctx *OpCtx) (*RBT, error) {
-	return NewRBTHomed(mp, env, ctx, mp.Home())
-}
-
-// NewRBTHomed roots the tree (and its sentinel) in an explicit pool.
-func NewRBTHomed(mp *MultiPool, env *workload.Env, ctx *OpCtx, home *pmo.Pool) (*RBT, error) {
-	t := &RBT{
-		mp:       mp,
-		home:     home,
-		keyspace: env.P.Keyspace(),
-		nodeSize: rbHdr + uint64(env.P.ValueSize),
-	}
+// NewRBT returns an empty red-black tree whose root pointer and sentinel
+// live in home.
+func NewRBT(ctx *OpCtx, home *pmo.Pool) (*RBT, error) {
+	t := &RBT{home: home, nodeSize: rbHdr + uint64(ctx.Env.P.ValueSize)}
 	ctx.EnsureWrite(home)
 	sentinel, err := home.Alloc(rbHdr)
 	if err != nil {
@@ -411,86 +398,4 @@ func (t *RBT) Validate(ctx *OpCtx) error {
 	}
 	_, err := check(root, 0, ^uint64(0))
 	return err
-}
-
-// rbtWorkload is the registered "rbt" benchmark.
-type rbtWorkload struct {
-	mp    *MultiPool
-	tree  *RBT
-	trees []*RBT // per-pool placement ablation
-}
-
-func init() {
-	workload.Register("rbt", func() workload.Workload { return &rbtWorkload{} })
-}
-
-// Name implements workload.Workload.
-func (w *rbtWorkload) Name() string { return "rbt" }
-
-// Setup implements workload.Workload.
-func (w *rbtWorkload) Setup(env *workload.Env) error {
-	mp, err := SetupPools(env, "rbt")
-	if err != nil {
-		return err
-	}
-	w.mp = mp
-	ctx := NewOpCtx(env, mp)
-	if env.P.PerPool() {
-		for _, p := range mp.Pools {
-			tr, err := NewRBTHomed(mp, env, ctx, p)
-			if err != nil {
-				return err
-			}
-			ctx.Pin = p
-			for i := 0; i < env.P.InitialElems; i++ {
-				if err := tr.Insert(ctx, randomKey(env, tr.keyspace)); err != nil {
-					return err
-				}
-				ctx.End()
-			}
-			w.trees = append(w.trees, tr)
-		}
-		ctx.Pin = nil
-		return nil
-	}
-	w.tree, err = NewRBT(mp, env, ctx)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < env.P.InitialElems; i++ {
-		if err := w.tree.Insert(ctx, randomKey(env, w.tree.keyspace)); err != nil {
-			return err
-		}
-		ctx.End()
-	}
-	return nil
-}
-
-// Run implements workload.Workload.
-func (w *rbtWorkload) Run(env *workload.Env) error {
-	ctx := NewOpCtx(env, w.mp)
-	for i := 0; i < env.P.Ops; i++ {
-		env.Space.Thread = opThread(env, i)
-		env.Space.Instr(env.P.InstrPerOp)
-		tree := w.tree
-		if env.P.PerPool() {
-			idx := env.Rng.Intn(len(w.trees))
-			tree = w.trees[idx]
-			ctx.Pin = w.mp.Pools[idx]
-		}
-		key := randomKey(env, tree.keyspace)
-		if env.Rng.Intn(100) < 90 {
-			if err := tree.Insert(ctx, key); err != nil {
-				return err
-			}
-		} else {
-			if _, err := tree.Delete(ctx, key); err != nil {
-				return err
-			}
-		}
-		ctx.End()
-		ctx.Pin = nil
-		env.OpDone(i)
-	}
-	return nil
 }

@@ -83,6 +83,11 @@ go test -fuzz '^FuzzTableOps$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./in
 # And of the conformance corpus reader, the reader of every repro file a
 # campaign writes: an accepted program must survive a re-serialise.
 go test -fuzz '^FuzzReadProgram$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/conformance/
+# And of the crash corpus reader, the reader of every repro file a
+# crash-conformance run writes, and of the span dump parser, the reader
+# of pmod's TRACE answer: an accepted input must survive a re-serialise.
+go test -fuzz '^FuzzReadRepro$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/crashconform/
+go test -fuzz '^FuzzParseSpansJSONL$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/reqtrace/
 
 # Hot-path budget smoke: run every benchmark briefly and enforce the
 # allocation budgets of BENCH_sim.json (allocs/op must not grow; the

@@ -2,6 +2,7 @@ package domainvirt
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -128,26 +129,92 @@ type blobStore interface {
 	Delete(key string) error
 }
 
-// memStore is a blobStore in memory. Each key is written once per
-// build and read by every later cell, the access pattern sync.Map is
-// made for.
-type memStore struct{ m sync.Map }
+// memCacheBudget is the most bytes a memory cache holds, checkpoints
+// and traces together: twice maxTraceBytes, so the largest trace always
+// fits.
+const memCacheBudget = 2 * maxTraceBytes
 
-func (s *memStore) Has(key string) bool {
-	_, ok := s.m.Load(key)
+// memBytes is the map behind a memory cache's two stores. It holds at
+// most budget bytes: a Put that would pass the budget first evicts the
+// oldest entries of either store. A call that then misses an evicted
+// key rebuilds it, as it does a file that vanished from a directory
+// store: a checkpoint is simulated again, a trace recorded again.
+type memBytes struct {
+	mu     sync.Mutex
+	budget int
+	size   int
+	m      map[string]*list.Element // of memEntry
+	order  list.List                // of memEntry, oldest first
+}
+
+type memEntry struct {
+	key  string
+	data []byte
+}
+
+// memStore is a blobStore in memory: a memory cache's checkpoints or
+// its traces, the entries of a memBytes whose keys end in ext. As in a
+// snapstore directory, a key may name one of each.
+type memStore struct {
+	*memBytes
+	ext string
+}
+
+// newMemStores returns a memory cache's checkpoint and trace stores,
+// which share one budget.
+func newMemStores(budget int) (snaps, traces memStore) {
+	b := &memBytes{budget: budget, m: make(map[string]*list.Element)}
+	return memStore{b, ".pmosnap"}, memStore{b, ".pmotrace"}
+}
+
+func (s memStore) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[key+s.ext]
 	return ok
 }
 
-func (s *memStore) Get(key string) ([]byte, error) {
-	if data, ok := s.m.Load(key); ok {
-		return data.([]byte), nil
+func (s memStore) Get(key string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.m[key+s.ext]; ok {
+		return e.Value.(memEntry).data, nil
 	}
 	return nil, snapstore.ErrMiss
 }
 
-func (s *memStore) Put(key string, data []byte) error { s.m.Store(key, data); return nil }
+func (s memStore) Put(key string, data []byte) error {
+	if len(data) > s.budget {
+		return fmt.Errorf("domainvirt: %d bytes pass the memory store's %d-byte budget", len(data), s.budget)
+	}
+	key += s.ext
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.remove(key)
+	for s.size+len(data) > s.budget {
+		s.remove(s.order.Front().Value.(memEntry).key)
+	}
+	s.m[key] = s.order.PushBack(memEntry{key, data})
+	s.size += len(data)
+	return nil
+}
 
-func (s *memStore) Delete(key string) error { s.m.Delete(key); return nil }
+func (s memStore) Delete(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.remove(key + s.ext)
+	return nil
+}
+
+// remove drops the entry under the full key, if any. The caller holds
+// b.mu.
+func (b *memBytes) remove(key string) {
+	if e, ok := b.m[key]; ok {
+		b.size -= len(e.Value.(memEntry).data)
+		b.order.Remove(e)
+		delete(b.m, key)
+	}
+}
 
 // SnapshotCache shares warmup state across experiment cells: the first
 // cell with a given (workload, params, scheme, structural-config) key
@@ -160,7 +227,8 @@ func (s *memStore) Delete(key string) error { s.m.Delete(key); return nil }
 //
 // The cache keeps bytes only: encoded checkpoints, and one sealed trace
 // of each (workload, params) measured segment. NewSnapshotCache keeps
-// them in memory; NewSnapshotCacheDir keeps them in an
+// them in memory, evicting the oldest past a fixed budget (see
+// memBytes); NewSnapshotCacheDir keeps them in an
 // internal/snapstore directory, so they survive across processes and
 // across the workers of a distributed sweep sharing one directory.
 // Either way a cell that did not build its checkpoint decodes and
@@ -188,7 +256,8 @@ type SnapshotCache struct {
 // NewSnapshotCache returns an empty warmup snapshot cache that keeps
 // its checkpoints and traces in memory.
 func NewSnapshotCache() *SnapshotCache {
-	return &SnapshotCache{snaps: new(memStore), traces: new(memStore), decoded: make(map[string]uint32)}
+	snaps, traces := newMemStores(memCacheBudget)
+	return &SnapshotCache{snaps: snaps, traces: traces, decoded: make(map[string]uint32)}
 }
 
 // NewSnapshotCacheDir returns a warmup snapshot cache persisted under
