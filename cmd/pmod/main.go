@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"time"
 
@@ -82,6 +83,9 @@ func run() int {
 	if *version {
 		fmt.Println(buildinfo.Stamp("pmod"))
 		return 0
+	}
+	if e := sim.Scheme(*engine); e != "" && e != "none" && !slices.Contains(sim.AllSchemes, e) {
+		return fail(fmt.Errorf("unknown -engine %q: want none or one of %v", *engine, sim.AllSchemes))
 	}
 
 	var store *pmo.Store

@@ -47,6 +47,9 @@ func HorizonKeyFor(name string, p Params, scheme Scheme, cfg Config, ops int) st
 // cache still gets the one-pass-many-horizons win, just without
 // checkpoints.
 func RunHorizons(name string, p Params, scheme Scheme, cfg Config, horizons []int, cache *SnapshotCache) ([]Result, error) {
+	if err := checkCell(scheme, p, cfg); err != nil {
+		return nil, err
+	}
 	p = p.Defaults()
 	if len(horizons) == 0 {
 		return nil, fmt.Errorf("domainvirt: RunHorizons: empty horizon list")

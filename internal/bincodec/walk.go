@@ -37,7 +37,8 @@ type Hook interface {
 //     writes.
 //
 // Interfaces, floats, funcs and chans have no encoding: building a plan
-// that reaches one panics. An empty slice or map decodes as nil.
+// that reaches one panics. An empty slice decodes as nil; a map never
+// does, so a decoded value's maps can be written into as they are.
 func Append(b []byte, v any) []byte {
 	t, p := target(v)
 	return planFor(t).enc(b, p)
@@ -338,11 +339,10 @@ func (g graph) mapping(p *plan, t reflect.Type) {
 	p.dec = func(r *Reader, ptr unsafe.Pointer) {
 		m := reflect.NewAt(t, ptr).Elem()
 		n := r.Count(kp.min + vp.min)
+		m.Set(reflect.MakeMapWithSize(t, n))
 		if n == 0 {
-			m.SetZero()
 			return
 		}
-		m.Set(reflect.MakeMapWithSize(t, n))
 		s := take()
 		kptr, vptr := s.k.Addr().UnsafePointer(), s.v.Addr().UnsafePointer()
 		for i := 0; i < n && r.err == nil; i++ {

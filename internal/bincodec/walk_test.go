@@ -222,6 +222,21 @@ func TestWalkerLengthBomb(t *testing.T) {
 	}
 }
 
+// TestWalkerEmptyMapDecodesNonNil: a decoded map can be written into
+// whether or not it held entries, while an empty slice decodes as nil.
+func TestWalkerEmptyMapDecodesNonNil(t *testing.T) {
+	var v, got allKinds
+	if err := Decode(NewReader(Append(nil, &v)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Buckets == nil || got.Set == nil {
+		t.Error("an empty map decoded as nil")
+	}
+	if got.Nested != nil {
+		t.Error("an empty slice decoded non-nil")
+	}
+}
+
 // TestWalkerConcurrentPlans builds and uses plans from many goroutines
 // at once, as a grid's workers do; run it under -race.
 func TestWalkerConcurrentPlans(t *testing.T) {

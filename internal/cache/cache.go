@@ -5,6 +5,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"domainvirt/internal/memlayout"
 )
 
@@ -53,16 +55,27 @@ type Cache struct {
 	misses uint64
 }
 
-// New constructs a cache from cfg.
-func New(cfg Config) *Cache {
+// Check reports why cfg is no cache geometry, or nil: its blocks must be
+// a positive multiple of Ways and the set count a power of two.
+func (cfg Config) Check() error {
 	blocks := cfg.SizeBytes >> BlockShift
 	if cfg.Ways <= 0 || blocks <= 0 || blocks%cfg.Ways != 0 {
-		panic("cache: invalid geometry")
+		return fmt.Errorf("cache: invalid geometry: %d bytes in %d ways", cfg.SizeBytes, cfg.Ways)
 	}
+	if nsets := blocks / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("cache: set count %d must be a power of two", nsets)
+	}
+	return nil
+}
+
+// New constructs a cache from cfg. It panics on a geometry Check
+// refuses.
+func New(cfg Config) *Cache {
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
+	blocks := cfg.SizeBytes >> BlockShift
 	nsets := blocks / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		panic("cache: set count must be a power of two")
-	}
 	return &Cache{
 		lines:   make([]line, blocks),
 		lru:     make([]uint32, blocks),
@@ -190,9 +203,8 @@ func (c *Cache) Fill(block uint64, s State) (victim uint64, dirty, evicted bool)
 // Stats returns (hits, misses).
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// CacheState is a deep copy of one Cache's mutable state. It is immutable
-// once taken: Restore copies out of it, so one state can seed many caches.
-type CacheState struct {
+// cacheState is one Cache's mutable state as a snapshot stores it.
+type cacheState struct {
 	lines  []line
 	lru    []uint32
 	clock  uint32
@@ -200,37 +212,18 @@ type CacheState struct {
 	misses uint64
 }
 
-// Snapshot captures the cache's lines, recency state, and statistics.
-func (c *Cache) Snapshot() *CacheState {
-	s := &CacheState{}
-	c.SnapshotInto(s)
-	return s
+// stored returns the cache's state, aliasing its arrays.
+func (c *Cache) stored() *cacheState {
+	return &cacheState{c.lines, c.lru, c.clock, c.hits, c.misses}
 }
 
-// SnapshotInto overwrites s with a fresh snapshot, reusing s's storage
-// when the geometry matches — the pooled-buffer path for snapshot-heavy
-// sweeps. The caller must no longer be restoring from the old contents.
-func (c *Cache) SnapshotInto(s *CacheState) {
-	if len(s.lines) != len(c.lines) {
-		s.lines = make([]line, len(c.lines))
-		s.lru = make([]uint32, len(c.lru))
-	}
-	copy(s.lines, c.lines)
-	copy(s.lru, c.lru)
-	s.clock = c.clock
-	s.hits = c.hits
-	s.misses = c.misses
+// fits reports whether s is a state of a cache of c's size.
+func (c *Cache) fits(s *cacheState) bool {
+	return s != nil && len(s.lines) == len(c.lines) && len(s.lru) == len(c.lines)
 }
 
-// Restore reinstates a snapshot taken from a cache of identical geometry,
-// reusing the receiver's storage. It panics on a geometry mismatch.
-func (c *Cache) Restore(s *CacheState) {
-	if len(s.lines) != len(c.lines) || len(s.lru) != len(s.lines) {
-		panic("cache: Restore geometry mismatch")
-	}
-	copy(c.lines, s.lines)
-	copy(c.lru, s.lru)
-	c.clock = s.clock
-	c.hits = s.hits
-	c.misses = s.misses
+// adopt makes s, which fits c, the cache's state, taking over its arrays.
+func (c *Cache) adopt(s *cacheState) {
+	c.lines, c.lru = s.lines, s.lru
+	c.clock, c.hits, c.misses = s.clock, s.hits, s.misses
 }

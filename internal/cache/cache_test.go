@@ -135,8 +135,8 @@ func TestSingleWriterInvariant(t *testing.T) {
 
 // TestRestoreRejectsShortPairedSlices: on disk every slice of a snapshot
 // carries its own count, so a decoded snapshot can pair a full slice
-// with a short one. Restore must refuse it, not copy the short slice
-// over part of the live one and keep stale state behind it.
+// with a short one. Adopt must refuse it, not take the short slice over
+// and index past its end later.
 func TestRestoreRejectsShortPairedSlices(t *testing.T) {
 	h := smallHierarchy(2)
 	for i := 0; i < 200; i++ {
@@ -146,16 +146,12 @@ func TestRestoreRejectsShortPairedSlices(t *testing.T) {
 		"L1 lru":  func(s *HierarchyState) { s.l1[1].lru = s.l1[1].lru[:len(s.l1[1].lru)-1] },
 		"L2 lru":  func(s *HierarchyState) { s.l2.lru = s.l2.lru[:1] },
 		"lastPos": func(s *HierarchyState) { s.lastPos = s.lastPos[:1] },
+		"L1":      func(s *HierarchyState) { s.l1[0] = nil },
 	} {
-		s := h.Snapshot()
+		s := h.Stored()
 		cut(s)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Restore accepted a short slice", name)
-				}
-			}()
-			smallHierarchy(2).Restore(s)
-		}()
+		if err := smallHierarchy(2).Adopt(s); err == nil {
+			t.Errorf("%s: Adopt accepted a short slice", name)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"domainvirt/internal/memlayout"
 )
 
@@ -213,71 +215,71 @@ func (h *Hierarchy) dropSharer(core int, block uint64) {
 	}
 }
 
-// HierarchyState is a deep copy of the hierarchy's mutable state: every
-// cache level, the coherence directory, the per-core position memos, and
-// the coherence statistics. It is immutable once taken.
+// HierarchyState is the hierarchy's mutable state as a snapshot stores
+// it: every cache level, the coherence directory, the per-core position
+// memos, and the coherence statistics.
 type HierarchyState struct {
-	l1           []*CacheState
-	l2           *CacheState
+	l1           []*cacheState
+	l2           *cacheState
 	dir          map[uint64]dirEntry
 	lastPos      []int
 	remoteInvals uint64
 	dirtyFwds    uint64
 }
 
-// Snapshot captures the full hierarchy state.
-func (h *Hierarchy) Snapshot() *HierarchyState {
-	s := &HierarchyState{}
-	h.SnapshotInto(s)
-	return s
-}
-
-// SnapshotInto overwrites s with a fresh snapshot, reusing s's storage
-// when the geometry matches (the pooled-buffer path).
-func (h *Hierarchy) SnapshotInto(s *HierarchyState) {
-	if len(s.l1) != len(h.l1) {
-		s.l1 = make([]*CacheState, len(h.l1))
-		for i := range s.l1 {
-			s.l1[i] = &CacheState{}
-		}
-		s.l2 = &CacheState{}
-		s.lastPos = make([]int, len(h.lastPos))
+// Stored returns the hierarchy's state. It aliases the caches' arrays
+// and the position memos, so it is valid until the hierarchy next
+// changes, long enough to encode it; the directory, stored by value, is
+// copied.
+func (h *Hierarchy) Stored() *HierarchyState {
+	s := &HierarchyState{
+		l1:           make([]*cacheState, len(h.l1)),
+		l2:           h.l2.stored(),
+		dir:          make(map[uint64]dirEntry, len(h.dir)),
+		lastPos:      h.lastPos,
+		remoteInvals: h.remoteInvals,
+		dirtyFwds:    h.dirtyFwds,
 	}
 	for i, c := range h.l1 {
-		c.SnapshotInto(s.l1[i])
-	}
-	h.l2.SnapshotInto(s.l2)
-	if s.dir == nil {
-		s.dir = make(map[uint64]dirEntry, len(h.dir))
-	} else {
-		clear(s.dir)
+		s.l1[i] = c.stored()
 	}
 	for block, de := range h.dir {
 		s.dir[block] = *de
 	}
-	copy(s.lastPos, h.lastPos)
-	s.remoteInvals = h.remoteInvals
-	s.dirtyFwds = h.dirtyFwds
+	return s
 }
 
-// Restore reinstates a snapshot taken from a hierarchy of identical
-// geometry (same core count and cache configurations).
-func (h *Hierarchy) Restore(s *HierarchyState) {
+// Adopt makes s the hierarchy's state, taking over its arrays and
+// rebuilding the directory from it. It refuses a state of another core
+// count or cache size, changing nothing.
+func (h *Hierarchy) Adopt(s *HierarchyState) error {
+	if s == nil {
+		return fmt.Errorf("cache: no hierarchy state")
+	}
 	if len(s.l1) != len(h.l1) || len(s.lastPos) != len(h.lastPos) {
-		panic("cache: Restore core-count mismatch")
+		return fmt.Errorf("cache: state of %d L1s and %d position memos for %d cores",
+			len(s.l1), len(s.lastPos), len(h.l1))
 	}
 	for i, c := range h.l1 {
-		c.Restore(s.l1[i])
+		if !c.fits(s.l1[i]) {
+			return fmt.Errorf("cache: L1 state %d does not fit a %d-line L1", i, len(c.lines))
+		}
 	}
-	h.l2.Restore(s.l2)
-	clear(h.dir)
+	if !h.l2.fits(s.l2) {
+		return fmt.Errorf("cache: L2 state does not fit a %d-line L2", len(h.l2.lines))
+	}
+	for i, c := range h.l1 {
+		c.adopt(s.l1[i])
+	}
+	h.l2.adopt(s.l2)
+	h.dir = make(map[uint64]*dirEntry, len(s.dir))
 	for block, de := range s.dir {
-		e := de
-		h.dir[block] = &e
+		h.dir[block] = &de
 	}
-	copy(h.lastPos, s.lastPos)
+	h.lastPos = s.lastPos
 	h.remoteInvals = s.remoteInvals
 	h.dirtyFwds = s.dirtyFwds
+	return nil
 }
 
 // Stats returns per-level hit statistics: L1 hits/misses summed across

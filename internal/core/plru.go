@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // PLRU is a tree-based pseudo-LRU replacement policy over a power-of-two
 // number of slots, as used by the DTTLB, the PTLB, and the protection-key
 // victim selection of the hardware MPK-virtualization design ("Pseudo LRU
@@ -22,10 +24,20 @@ type PLRU struct {
 	touchSet   []uint64 // per-slot: the path bits Touch sets to true
 }
 
-// NewPLRU returns a PLRU over the given power-of-two slot count.
-func NewPLRU(slots int) *PLRU {
+// CheckPLRUSlots reports why slots is no PLRU slot count, or nil: it
+// must be a positive power of two.
+func CheckPLRUSlots(slots int) error {
 	if slots <= 0 || slots&(slots-1) != 0 {
-		panic("core: PLRU slots must be a power of two")
+		return fmt.Errorf("core: PLRU slots must be a power of two, not %d", slots)
+	}
+	return nil
+}
+
+// NewPLRU returns a PLRU over the given slot count. It panics on a count
+// CheckPLRUSlots refuses.
+func NewPLRU(slots int) *PLRU {
+	if err := CheckPLRUSlots(slots); err != nil {
+		panic(err)
 	}
 	p := &PLRU{slots: slots}
 	if slots > 64 {
@@ -54,26 +66,26 @@ func NewPLRU(slots int) *PLRU {
 	return p
 }
 
-// PLRUState is the mutable recency state of a PLRU, captured by Save and
-// reinstated by Load. The precomputed touch masks are per-geometry
-// constants and not part of it.
+// PLRUState is the mutable recency state of a PLRU as a snapshot stores
+// it. The precomputed touch masks are per-geometry constants and not
+// part of it.
 type PLRUState struct {
 	Bits uint64
 	Big  []bool
 }
 
-// Save captures the recency state.
-func (p *PLRU) Save() PLRUState {
-	return PLRUState{Bits: p.bits, Big: append([]bool(nil), p.big...)}
-}
+// Stored returns the recency state, aliasing the PLRU's node storage.
+func (p *PLRU) Stored() PLRUState { return PLRUState{Bits: p.bits, Big: p.big} }
 
-// Load reinstates a state saved from a PLRU of the same slot count.
-func (p *PLRU) Load(s PLRUState) {
+// Adopt makes s the recency state, taking over its node storage. It
+// refuses a state stored from a PLRU of another slot count, changing
+// nothing.
+func (p *PLRU) Adopt(s PLRUState) error {
 	if len(s.Big) != len(p.big) {
-		panic("core: PLRU Load slot-count mismatch")
+		return fmt.Errorf("core: PLRU state of %d nodes for %d slots", len(s.Big), p.slots)
 	}
-	p.bits = s.Bits
-	copy(p.big, s.Big)
+	p.bits, p.big = s.Bits, s.Big
+	return nil
 }
 
 // Touch marks slot as most recently used: every node on the root→leaf

@@ -86,29 +86,6 @@ func (t *DomainTable) place(d DomainID, r memlayout.Region) error {
 	return nil
 }
 
-// Clone returns a deep copy of the table: the two share no nodes, so
-// mutations of one are invisible to the other.
-func (t *DomainTable) Clone() *DomainTable {
-	c := &DomainTable{
-		root:    cloneDTNode(t.root),
-		regions: make(map[DomainID]memlayout.Region, len(t.regions)),
-	}
-	for d, r := range t.regions {
-		c.regions[d] = r
-	}
-	return c
-}
-
-func cloneDTNode(n *dtNode) *dtNode {
-	c := &dtNode{domain: n.domain}
-	for i, child := range n.children {
-		if child != nil {
-			c.children[i] = cloneDTNode(child)
-		}
-	}
-	return c
-}
-
 // Remove deletes domain d's entries. It reports whether d was present.
 func (t *DomainTable) Remove(d DomainID) bool {
 	r, ok := t.regions[d]

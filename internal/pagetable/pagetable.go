@@ -10,8 +10,8 @@
 // at the rank of bit i in the stored bitmap. A leaf costs 168 bytes plus
 // 16 per stored PTE, where all 512 slots would cost 8 KiB, and an
 // enumeration of a sparse range costs its leaves plus its stored PTEs, not
-// every slot of the range. Clone and DecodeFrom size a table's leaves and
-// PTEs before they fill them, and take each from one slab.
+// every slot of the range. DecodeFrom sizes a table's leaves and PTEs
+// before it fills them, and takes each from one slab.
 package pagetable
 
 import (
@@ -173,36 +173,6 @@ func New() *Table {
 
 // Populated returns the total number of present PTEs in the table.
 func (t *Table) Populated() uint64 { return t.populated }
-
-// Clone returns a deep copy of the table: the two share no nodes, so
-// mutations of one are invisible to the other. The copy's leaves and
-// PTEs come from one slab each.
-func (t *Table) Clone() *Table {
-	s := newSlab(t.leaves, t.stored)
-	cloneLeaf := func(l *leaf) *leaf {
-		c := s.leaf()
-		*c = *l
-		c.ptes = s.take(len(l.ptes))
-		copy(c.ptes, l.ptes)
-		return c
-	}
-	clonePMD := func(d *pmd) *pmd { return cloneDir(d, cloneLeaf) }
-	clonePUD := func(d *pud) *pud { return cloneDir(d, clonePMD) }
-	c := *t
-	c.root = cloneDir(t.root, clonePUD)
-	return &c
-}
-
-// cloneDir deep-copies d, copying each child with cloneChild.
-func cloneDir[C any](d *dir[C], cloneChild func(*C) *C) *dir[C] {
-	c := new(dir[C])
-	for i := range d.child {
-		if ch := d.child[i]; ch != nil {
-			c.child[i] = cloneChild(ch)
-		}
-	}
-	return c
-}
 
 // leafFor returns the leaf covering va. When create is true it first
 // creates the absent nodes on the path, taking a new leaf from s;

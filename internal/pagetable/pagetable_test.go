@@ -33,11 +33,11 @@ func TestMapWalkRoundTrip(t *testing.T) {
 }
 
 func TestMapAgainstReference(t *testing.T) {
-	// A random sequence of Map, Unmap, Lookup, SetKey, SetWritable, Clone,
-	// an AppendTo/DecodeFrom round trip and a decode of shuffled entries
-	// must agree with a Go map, and ForEachPopulated must visit exactly
-	// the map's pages in a region, in ascending VA order, on the table,
-	// its clone and its decoded copies.
+	// A random sequence of Map, Unmap, Lookup, SetKey, SetWritable, an
+	// AppendTo/DecodeFrom round trip, a fork onto a decoded copy and a
+	// decode of shuffled entries must agree with a Go map, and
+	// ForEachPopulated must visit exactly the map's pages in a region, in
+	// ascending VA order, on the table and its decoded copies.
 	rng := rand.New(rand.NewSource(7))
 	c := newChecker(t)
 	randVPN := func() uint64 {
@@ -183,7 +183,6 @@ func TestSparseFootprint(t *testing.T) {
 				pt.Map(va, memlayout.PA(i+1)<<memlayout.PageShift, true)
 			}
 		}},
-		{"Clone", func() { pt.Clone() }},
 		{"AppendTo", func() { enc = pt.AppendTo(nil) }},
 		{"DecodeFrom", func() {
 			if err := new(Table).DecodeFrom(bincodec.NewReader(enc)); err != nil {

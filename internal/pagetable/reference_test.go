@@ -82,16 +82,17 @@ func (c *checker) setWritable(r memlayout.Region, w bool) {
 	c.rewrite("SetWritable", r, func(t *Table) int { return t.SetWritable(r, w) }, func(p *PTE) { p.Writable = w })
 }
 
-// fork carries on with a clone of the table. The clone maps vpn, and its
-// source, checked over r1, must not see that; the clone is checked over r2.
+// fork carries on with the table's decoded copy. The copy maps vpn, and
+// its source, checked over r1, must not see that; the copy is checked
+// over r2.
 func (c *checker) fork(vpn uint64, r1, r2 memlayout.Region) {
 	c.step++
 	src := c.pt
-	c.pt = src.Clone()
+	c.pt = c.decode(src.AppendTo(nil))
 	c.pt.Map(pageVA(vpn), 0, false)
-	c.check("source of a clone", src, r1)
+	c.check("source of a decoded copy", src, r1)
 	c.ref[vpn] = PTE{Present: true}
-	c.check("clone", c.pt, r2)
+	c.check("decoded copy", c.pt, r2)
 }
 
 // roundTrip carries on with the table's AppendTo/DecodeFrom copy.

@@ -156,8 +156,8 @@ func benchSnapshot(tb testing.TB) *sim.Snapshot {
 	return m.Snapshot()
 }
 
-// BenchmarkSnapshotEncode measures the wire encoding of a full machine
-// snapshot — the write half of every snapshot-store Put.
+// BenchmarkSnapshotEncode measures EncodeSnapshot, which returns the
+// bytes a snapshot was encoded to when it was taken.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	snap := benchSnapshot(b)
 	data, err := sim.EncodeSnapshot(snap)
@@ -174,8 +174,9 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotDecode measures decode+checksum of stored snapshot
-// bytes — the read half of every warm-store hit.
+// BenchmarkSnapshotDecode measures DecodeSnapshot's check of the stored
+// bytes' envelope (magic, checksum, version); the payload is decoded by
+// the restore.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	data, err := sim.EncodeSnapshot(benchSnapshot(b))
 	if err != nil {
@@ -188,5 +189,48 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 		if _, err := sim.DecodeSnapshot(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckpointKeep measures what a snapshot cache runs to keep a
+// warmed cell's checkpoint: the capture of the machine, which encodes it.
+func BenchmarkCheckpointKeep(b *testing.B) {
+	for _, s := range []sim.Scheme{sim.SchemeMPKVirt, sim.SchemeDomainVirt} {
+		b.Run(string(s), func(b *testing.B) {
+			m := benchMachine(b, s, 8, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.EncodeSnapshot(m.Snapshot()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointLoad measures what a snapshot cache runs to serve a
+// stored checkpoint: a fresh machine of the cell's geometry, the check
+// of the stored bytes and the restore.
+func BenchmarkCheckpointLoad(b *testing.B) {
+	for _, s := range []sim.Scheme{sim.SchemeMPKVirt, sim.SchemeDomainVirt} {
+		b.Run(string(s), func(b *testing.B) {
+			data, err := sim.EncodeSnapshot(benchMachine(b, s, 8, 16).Snapshot())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := sim.NewMachine(sim.DefaultConfig(), s)
+				snap, err := sim.DecodeSnapshot(data)
+				if err == nil {
+					err = m.RestoreSafe(snap)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -166,27 +166,83 @@ func TestSnapshotCodecRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-// TestRestoreSafeRejectsMismatch pins the untrusted-provenance guard: a
-// decoded snapshot of the wrong scheme or geometry must come back as an
-// error, not a panic.
+// TestRestoreSafeRejectsMismatch pins the untrusted-provenance guard:
+// under every scheme, a snapshot restored into a machine of another
+// scheme or of another core count, TLB, cache, DTTLB or PTLB size comes
+// back from RestoreSafe as an error, and Restore panics with that error,
+// not an index panic.
 func TestRestoreSafeRejectsMismatch(t *testing.T) {
-	snap, cfg, _ := codecSnapshot(t, sim.SchemeDomainVirt)
+	for i, s := range sim.AllSchemes {
+		snap, cfg, _ := codecSnapshot(t, s)
+		data, err := sim.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := sim.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type mismatch struct {
+			name   string
+			scheme sim.Scheme
+			edit   func(*sim.Config)
+		}
+		cases := []mismatch{
+			{"scheme", sim.AllSchemes[(i+1)%len(sim.AllSchemes)], func(*sim.Config) {}},
+			{"Cores", s, func(c *sim.Config) { c.Cores += 2 }},
+			{"L1TLB", s, func(c *sim.Config) { c.L1TLB.Entries *= 2 }},
+			{"L2TLB", s, func(c *sim.Config) { c.L2TLB.Entries *= 2 }},
+			{"L1D", s, func(c *sim.Config) { c.L1D.SizeBytes *= 2 }},
+			{"L2", s, func(c *sim.Config) { c.L2.SizeBytes *= 2 }},
+		}
+		switch s {
+		case sim.SchemeMPKVirt:
+			cases = append(cases, mismatch{"DTTLBEntries", s, func(c *sim.Config) { c.DTTLBEntries *= 2 }})
+		case sim.SchemeDomainVirt:
+			cases = append(cases, mismatch{"PTLBEntries", s, func(c *sim.Config) { c.PTLBEntries *= 2 }})
+		}
+		for _, c := range cases {
+			bad := cfg
+			c.edit(&bad)
+			err := sim.NewMachine(bad, c.scheme).RestoreSafe(decoded)
+			if err == nil || !strings.Contains(err.Error(), "restore rejected") {
+				t.Errorf("%s snapshot, %s mismatch: RestoreSafe = %v, want a rejection", s, c.name, err)
+				continue
+			}
+			func() {
+				defer func() {
+					if p, ok := recover().(error); !ok || p.Error() != err.Error() {
+						t.Errorf("%s snapshot, %s mismatch: Restore panicked with %v, want %v", s, c.name, p, err)
+					}
+				}()
+				sim.NewMachine(bad, c.scheme).Restore(decoded)
+			}()
+		}
+	}
+}
+
+// TestRestoreSafeRejectsResealedPayload: DecodeSnapshot checks only the
+// envelope, so a payload cut mid-field, or followed by a stray byte, and
+// resealed as an intact writer would seal it passes it. The restore that
+// decodes the payload must reject it with ErrSnapshotCorrupt.
+func TestRestoreSafeRejectsResealedPayload(t *testing.T) {
+	snap, cfg, _ := codecSnapshot(t, sim.SchemeMPKVirt)
 	data, err := sim.EncodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := sim.DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.NewMachine(cfg, sim.SchemeMPK).RestoreSafe(decoded); err == nil {
-		t.Error("scheme mismatch: RestoreSafe accepted")
-	} else if !strings.Contains(err.Error(), "restore rejected") {
-		t.Errorf("scheme mismatch: unexpected error %v", err)
-	}
-	bad := cfg
-	bad.Cores = cfg.Cores + 2
-	if err := sim.NewMachine(bad, sim.SchemeDomainVirt).RestoreSafe(decoded); err == nil {
-		t.Error("core-count mismatch: RestoreSafe accepted")
+	body := data[:len(data)-8]
+	for name, payload := range map[string][]byte{
+		"cut":      body[:len(body)/2],
+		"trailing": append(bytes.Clone(body), 0),
+	} {
+		sealed := sim.ResealSnapshotVersion(append(bytes.Clone(payload), make([]byte, 8)...), sim.SnapshotCodecVersion)
+		decoded, err := sim.DecodeSnapshot(sealed)
+		if err != nil {
+			t.Fatalf("%s: DecodeSnapshot = %v, want the envelope accepted", name, err)
+		}
+		if err := sim.NewMachine(cfg, sim.SchemeMPKVirt).RestoreSafe(decoded); !errors.Is(err, sim.ErrSnapshotCorrupt) {
+			t.Errorf("%s: RestoreSafe = %v, want ErrSnapshotCorrupt", name, err)
+		}
 	}
 }

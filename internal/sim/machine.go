@@ -93,15 +93,20 @@ type l0Slot struct {
 	dom    core.DomainID // memoized domain (l0DVSlot only)
 }
 
-// coreState is the per-core microarchitectural state. The tlb* fields
-// shadow the machine-wide counters per core so the observability sampler
-// can report per-core TLB hit rates.
+// coreState is the per-core microarchitectural state.
 type coreState struct {
-	id        int
-	l1tlb     *tlb.TLB
-	l2tlb     *tlb.TLB
-	debt      *tlb.Debt
-	l0        [l0Entries]l0Slot
+	id    int
+	l1tlb *tlb.TLB
+	l2tlb *tlb.TLB
+	debt  *tlb.Debt
+	l0    [l0Entries]l0Slot
+	coreRegs
+}
+
+// coreRegs is the part of a core's state that a snapshot stores as it
+// lies. The tlb* fields shadow the machine-wide counters per core so the
+// observability sampler can report per-core TLB hit rates.
+type coreRegs struct {
 	cycles    uint64
 	instRem   uint64
 	thread    core.ThreadID
@@ -869,12 +874,7 @@ func (m *Machine) ResetStats() {
 	m.faultsDropped = 0
 	m.curCore = nil // cores go inactive; the next coreFor re-marks them
 	for _, c := range m.cores {
-		c.cycles = 0
-		c.instRem = 0
-		c.active = false
-		c.tlbL1Hits = 0
-		c.tlbL2Hits = 0
-		c.tlbMisses = 0
+		c.coreRegs = coreRegs{thread: c.thread}
 	}
 	if m.rec != nil && m.rec.EpochLen() > 0 {
 		m.recNext = m.rec.EpochLen()

@@ -11,17 +11,17 @@ import (
 	"domainvirt/internal/tlb"
 )
 
-// Snapshot is a deep copy of a Machine's full simulated state: counters
-// and breakdown, fault records, the attach table and its span index,
-// thread affinity, the page table, the memory model, the whole cache
-// hierarchy, every core's TLBs and invalidation debt, and the engine
-// state (via core.Snapshotter).
+// Snapshot is a Machine's full simulated state in its encoded form: the
+// versioned, checksummed bytes EncodeSnapshot returns and DecodeSnapshot
+// accepts. The state it encodes is counters and breakdown, fault
+// records, the attach table and its span index, thread affinity, the
+// page table, the memory model, the whole cache hierarchy, every core's
+// TLBs and invalidation debt, and the engine state (via
+// core.Snapshotter).
 //
-// A snapshot is immutable once taken: Restore deep-copies out of it,
-// never into it, so one snapshot can seed any number of machines,
-// concurrently. The only exception is Machine.SnapshotInto, which reuses
-// a snapshot's storage for a *new* capture — callers own the
-// no-longer-restoring-from-it guarantee.
+// A snapshot is immutable: Restore decodes its bytes afresh into state
+// the restored machine then owns, so one snapshot can seed any number of
+// machines, concurrently.
 //
 // Not captured: the Bind-time wiring a machine owns for its lifetime —
 // the recorder and its sampler position (SetRecorder), the SETPERM
@@ -30,6 +30,15 @@ import (
 // restore, which is behavior-preserving by the DisableFastPath A/B
 // invariant.
 type Snapshot struct {
+	data []byte
+}
+
+// state is the payload of a snapshot: bincodec derives the snapshot
+// format from its fields, in this order, and the state structs they
+// hold. A capture fills it with the machine's own maps, slices and
+// tables and encodes it at once; a restore decodes a fresh one and the
+// machine takes its storage over.
+type state struct {
 	scheme string
 	ncores int
 
@@ -50,93 +59,44 @@ type Snapshot struct {
 }
 
 type coreSnap struct {
-	cycles    uint64
-	instRem   uint64
-	thread    core.ThreadID
-	active    bool
-	tlbL1Hits uint64
-	tlbL2Hits uint64
-	tlbMisses uint64
-	l1        tlb.State
-	l2        tlb.State
-	debt      map[uint64]struct{}
+	coreRegs
+	l1   tlb.State
+	l2   tlb.State
+	debt map[uint64]struct{}
 }
 
-// Scheme returns the engine name the snapshot was taken under.
-func (s *Snapshot) Scheme() string { return s.scheme }
+// Scheme returns the engine name the snapshot was taken under: the
+// payload's first field.
+func (s *Snapshot) Scheme() string { return s.payload().Str() }
 
 // Snapshot captures the machine's full simulated state. The bound engine
 // must implement core.Snapshotter (all six built-in engines do).
 func (m *Machine) Snapshot() *Snapshot {
-	s := &Snapshot{}
-	m.SnapshotInto(s)
-	return s
-}
-
-// SnapshotInto overwrites s with a fresh capture, reusing s's allocated
-// buffers where geometries match. The previous contents of s become
-// invalid; the caller must not be restoring from them concurrently.
-func (m *Machine) SnapshotInto(s *Snapshot) {
 	snapper, ok := m.engine.(core.Snapshotter)
 	if !ok {
 		panic(fmt.Sprintf("sim: engine %q does not implement core.Snapshotter", m.engine.Name()))
 	}
-
-	s.scheme = m.engine.Name()
-	s.ncores = len(m.cores)
-	s.bd = m.bd
-	s.ctr = m.ctr
-
-	if s.domains == nil {
-		s.domains = make(map[core.DomainID]domainInfo, len(m.domains))
-	} else {
-		clear(s.domains)
-	}
-	for d, di := range m.domains {
-		s.domains[d] = di
-	}
-	s.spans = append(s.spans[:0], m.spans...)
-	if m.affinity == nil {
-		s.affinity = nil
-	} else {
-		if s.affinity == nil {
-			s.affinity = make(map[core.ThreadID]int, len(m.affinity))
-		} else {
-			clear(s.affinity)
-		}
-		for th, c := range m.affinity {
-			s.affinity[th] = c
-		}
-	}
-	s.mutGen = m.mutGen
-	s.faults = append(s.faults[:0], m.faults...)
-	s.faultsDropped = m.faultsDropped
-
-	s.pt = m.pt.Clone()
-	s.memst = m.memory.Snapshot()
-	if s.caches == nil {
-		s.caches = &cache.HierarchyState{}
-	}
-	m.caches.SnapshotInto(s.caches)
-
-	if len(s.cores) != len(m.cores) {
-		s.cores = make([]coreSnap, len(m.cores))
+	st := state{
+		scheme:        m.engine.Name(),
+		ncores:        len(m.cores),
+		bd:            m.bd,
+		ctr:           m.ctr,
+		domains:       m.domains,
+		spans:         m.spans,
+		affinity:      m.affinity,
+		mutGen:        m.mutGen,
+		faults:        m.faults,
+		faultsDropped: m.faultsDropped,
+		pt:            m.pt,
+		memst:         m.memory.Snapshot(),
+		caches:        m.caches.Stored(),
+		cores:         make([]coreSnap, len(m.cores)),
+		eng:           snapper.SnapshotState(),
 	}
 	for i, c := range m.cores {
-		cs := &s.cores[i]
-		cs.cycles = c.cycles
-		cs.instRem = c.instRem
-		cs.thread = c.thread
-		cs.active = c.active
-		cs.tlbL1Hits = c.tlbL1Hits
-		cs.tlbL2Hits = c.tlbL2Hits
-		cs.tlbMisses = c.tlbMisses
-		c.l1tlb.SnapshotInto(&cs.l1)
-		c.l2tlb.SnapshotInto(&cs.l2)
-		cs.debt = c.debt.Snapshot()
+		st.cores[i] = coreSnap{c.coreRegs, c.l1tlb.Stored(), c.l2tlb.Stored(), c.debt.Stored()}
 	}
-
-	s.eng = snapper.SnapshotState()
+	return &Snapshot{data: encode(&st)}
 }
 
 // Restore reinstates a snapshot into m: afterwards m's simulated state is
@@ -147,63 +107,84 @@ func (m *Machine) SnapshotInto(s *Snapshot) {
 // differ — they are pure accounting, so a snapshot taken after a stats
 // reset seeds cells of a cost-parameter sweep directly.
 //
+// Restore panics with the error RestoreSafe would return: on the
+// in-memory path a mismatch is a caller bug.
+//
 // Restore leaves the recorder and its sampler boundary alone. To observe
 // a run that continues from a snapshot, attach a new recorder with
 // SetRecorder after Restore, as a cell's measured phase does on its
 // post-ResetStats checkpoint.
 func (m *Machine) Restore(s *Snapshot) {
-	if s.scheme != m.engine.Name() {
-		panic(fmt.Sprintf("sim: Restore scheme mismatch: snapshot %q, machine %q", s.scheme, m.engine.Name()))
+	if err := m.RestoreSafe(s); err != nil {
+		panic(err)
 	}
-	if s.ncores != len(m.cores) {
-		panic(fmt.Sprintf("sim: Restore core-count mismatch: snapshot %d, machine %d", s.ncores, len(m.cores)))
+}
+
+// RestoreSafe is Restore for snapshots of untrusted provenance (a disk
+// store another process wrote). It decodes the payload into a fresh
+// state, returning ErrSnapshotCorrupt when it is malformed, and checks
+// the state's scheme and geometry against m's, returning an error on a
+// mismatch; then m takes the decoded state over without copying it. On
+// an error the machine is owed a rebuild by the caller: its state may be
+// partly overwritten.
+func (m *Machine) RestoreSafe(s *Snapshot) error {
+	var st state
+	if err := decode(s.payload(), &st); err != nil {
+		return err
 	}
-
-	m.bd = s.bd
-	m.ctr = s.ctr
-
-	clear(m.domains)
-	for d, di := range s.domains {
-		m.domains[d] = di
+	if err := m.adopt(&st); err != nil {
+		return fmt.Errorf("sim: restore rejected: %w", err)
 	}
-	m.spans = append(m.spans[:0], s.spans...)
-	if s.affinity == nil {
-		m.affinity = nil
-	} else {
-		m.affinity = make(map[core.ThreadID]int, len(s.affinity))
-		for th, c := range s.affinity {
-			m.affinity[th] = c
-		}
+	return nil
+}
+
+// adopt makes a decoded state m's own after checking it fits m.
+func (m *Machine) adopt(st *state) error {
+	snapper, ok := m.engine.(core.Snapshotter)
+	if !ok || st.scheme != m.engine.Name() {
+		return fmt.Errorf("scheme mismatch: snapshot %q, machine %q", st.scheme, m.engine.Name())
 	}
-	m.mutGen = s.mutGen
-	m.faults = append(m.faults[:0], s.faults...)
-	m.faultsDropped = s.faultsDropped
-
-	m.pt = s.pt.Clone()
-	m.memory.Restore(s.memst)
-	m.caches.Restore(s.caches)
-
+	if st.ncores != len(m.cores) || len(st.cores) != len(m.cores) {
+		return fmt.Errorf("core-count mismatch: snapshot %d, machine %d", st.ncores, len(m.cores))
+	}
+	if st.pt == nil {
+		return fmt.Errorf("snapshot has no page table")
+	}
+	if err := m.caches.Adopt(st.caches); err != nil {
+		return err
+	}
 	for i, c := range m.cores {
-		cs := &s.cores[i]
-		c.cycles = cs.cycles
-		c.instRem = cs.instRem
-		c.thread = cs.thread
-		c.active = cs.active
-		c.tlbL1Hits = cs.tlbL1Hits
-		c.tlbL2Hits = cs.tlbL2Hits
-		c.tlbMisses = cs.tlbMisses
-		c.l1tlb.Restore(cs.l1)
-		c.l2tlb.Restore(cs.l2)
-		c.debt.Restore(cs.debt)
+		cs := &st.cores[i]
+		if err := c.l1tlb.Adopt(cs.l1); err != nil {
+			return fmt.Errorf("L1 TLB: %w", err)
+		}
+		if err := c.l2tlb.Adopt(cs.l2); err != nil {
+			return fmt.Errorf("L2 TLB: %w", err)
+		}
+		c.debt.Adopt(cs.debt)
+		c.coreRegs = cs.coreRegs
 		// Drop memoized translations; gen 0 never matches mutGen.
 		for j := range c.l0 {
 			c.l0[j].gen = 0
 		}
 	}
+	if err := snapper.RestoreState(st.eng); err != nil {
+		return err
+	}
 
-	m.engine.(core.Snapshotter).RestoreState(s.eng)
+	m.bd = st.bd
+	m.ctr = st.ctr
+	m.domains = st.domains
+	m.spans = st.spans
+	m.affinity = st.affinity
+	m.mutGen = st.mutGen
+	m.faults = st.faults
+	m.faultsDropped = st.faultsDropped
+	m.pt = st.pt
+	m.memory.Restore(st.memst)
 
 	// The thread→core memo may point at stale placement; coreFor re-derives
 	// it (a re-resolution of an unchanged thread is a no-op).
 	m.curTh, m.curCore = 0, nil
+	return nil
 }

@@ -130,7 +130,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 
 // TestSnapshotImmutableAcrossRestores forks the same snapshot twice in
 // sequence: if the first fork's run leaked mutations into the snapshot
-// (aliased state instead of deep copies), the second fork diverges.
+// (state shared between restores), the second fork diverges.
 func TestSnapshotImmutableAcrossRestores(t *testing.T) {
 	for _, s := range sim.AllSchemes {
 		t.Run(string(s), func(t *testing.T) {
@@ -290,7 +290,8 @@ func TestSnapshotCostIndependence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreMismatchPanics pins the compatibility guards.
+// TestSnapshotRestoreMismatchPanics pins the compatibility guards: a
+// mismatch panics with the error RestoreSafe reports, not an index panic.
 func TestSnapshotRestoreMismatchPanics(t *testing.T) {
 	cfg := snapConfig()
 	m := sim.NewMachine(cfg, sim.SchemeDomainVirt)
@@ -298,8 +299,8 @@ func TestSnapshotRestoreMismatchPanics(t *testing.T) {
 
 	expectPanic := func(name string, fn func()) {
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+			if _, ok := recover().(error); !ok {
+				t.Errorf("%s: expected a panic with an error", name)
 			}
 		}()
 		fn()
@@ -346,21 +347,18 @@ func TestFaultsReturnsCopy(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshotRestore measures the fork primitive itself: one
-// SnapshotInto (pooled buffer reuse) plus one Restore of a warmed
-// machine, the per-cell cost a snapshot-served grid pays instead of
+// BenchmarkSnapshotRestore measures one Restore of a warmed machine's
+// snapshot: the decode of its payload and the adoption of the decoded
+// state, the per-cell cost a snapshot-served grid pays instead of
 // re-simulating the warmup prefix.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	for _, s := range []sim.Scheme{sim.SchemeMPKVirt, sim.SchemeDomainVirt} {
 		b.Run(string(s), func(b *testing.B) {
-			m := benchMachine(b, s, 8, 16)
+			snap := benchMachine(b, s, 8, 16).Snapshot()
 			fork := sim.NewMachine(sim.DefaultConfig(), s)
-			snap := m.Snapshot()
-			fork.Restore(snap)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.SnapshotInto(snap)
 				fork.Restore(snap)
 			}
 		})

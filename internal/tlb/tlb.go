@@ -11,6 +11,8 @@
 package tlb
 
 import (
+	"fmt"
+
 	"domainvirt/internal/memlayout"
 )
 
@@ -62,22 +64,30 @@ type TLB struct {
 
 	// blocks[blockSlot(vpn)] counts the valid entries whose VPN falls in
 	// a block hashed to that slot. It is derived state: every change of
-	// an entry's validity updates it, Restore rebuilds it, and snapshots
+	// an entry's validity updates it, Adopt rebuilds it, and snapshots
 	// never carry it. A fixed array keeps it inside the TLB's one
 	// allocation.
 	blocks [blockSlots]uint32
 }
 
-// New constructs a TLB. Entries must be a multiple of Ways and the set
-// count must be a power of two.
-func New(cfg Config) *TLB {
+// Check reports why cfg is no TLB geometry, or nil: Entries must be a
+// positive multiple of Ways and the set count a power of two.
+func (cfg Config) Check() error {
 	if cfg.Ways <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic("tlb: invalid geometry")
+		return fmt.Errorf("tlb: invalid geometry: %d entries in %d ways", cfg.Entries, cfg.Ways)
+	}
+	if nsets := cfg.Entries / cfg.Ways; nsets&(nsets-1) != 0 {
+		return fmt.Errorf("tlb: set count %d must be a power of two", nsets)
+	}
+	return nil
+}
+
+// New constructs a TLB. It panics on a geometry Check refuses.
+func New(cfg Config) *TLB {
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
 	nsets := cfg.Entries / cfg.Ways
-	if nsets&(nsets-1) != 0 {
-		panic("tlb: set count must be a power of two")
-	}
 	return &TLB{
 		entries: make([]Entry, cfg.Entries),
 		lru:     make([]uint32, cfg.Entries),
@@ -264,9 +274,9 @@ func (t *TLB) Stats() (hits, misses, evictions uint64) {
 	return t.hits, t.misses, t.evictions
 }
 
-// State is a deep copy of a TLB's mutable state, taken by Snapshot and
-// reinstated by Restore. It is immutable once taken: Restore copies out
-// of it, so one State can seed many TLBs (and be restored concurrently).
+// State is a TLB's mutable state as a snapshot stores it: entries,
+// recency stamps and statistics. The block counts are not part of it;
+// Adopt rebuilds them.
 type State struct {
 	entries   []Entry
 	lru       []uint32
@@ -276,48 +286,29 @@ type State struct {
 	evictions uint64
 }
 
-// Snapshot captures the TLB's entries, recency state, and statistics.
-func (t *TLB) Snapshot() State {
-	var s State
-	t.SnapshotInto(&s)
-	return s
+// Stored returns the TLB's state, aliasing its arrays: it is valid until
+// the TLB next changes, long enough to encode it.
+func (t *TLB) Stored() State {
+	return State{t.entries, t.lru, t.clock, t.hits, t.misses, t.evictions}
 }
 
-// SnapshotInto overwrites s with a fresh snapshot, reusing s's storage
-// when the geometry matches — the pooled-buffer path for snapshot-heavy
-// sweeps. The caller must no longer be restoring from the old contents.
-func (t *TLB) SnapshotInto(s *State) {
-	if len(s.entries) != len(t.entries) {
-		s.entries = make([]Entry, len(t.entries))
-		s.lru = make([]uint32, len(t.lru))
+// Adopt makes s the TLB's state, taking over its arrays, and rebuilds the
+// block counts from its entries. It refuses a state whose entries or
+// recency stamps do not number the TLB's entries, changing nothing.
+func (t *TLB) Adopt(s State) error {
+	if len(s.entries) != len(t.entries) || len(s.lru) != len(t.entries) {
+		return fmt.Errorf("tlb: state of %d entries and %d stamps for a %d-entry TLB",
+			len(s.entries), len(s.lru), len(t.entries))
 	}
-	copy(s.entries, t.entries)
-	copy(s.lru, t.lru)
-	s.clock = t.clock
-	s.hits = t.hits
-	s.misses = t.misses
-	s.evictions = t.evictions
-}
-
-// Restore reinstates a snapshot taken from a TLB of identical geometry,
-// reusing the receiver's storage, and rebuilds the block counts from the
-// restored entries. It panics on a geometry mismatch.
-func (t *TLB) Restore(s State) {
-	if len(s.entries) != len(t.entries) || len(s.lru) != len(s.entries) {
-		panic("tlb: Restore geometry mismatch")
-	}
-	copy(t.entries, s.entries)
-	copy(t.lru, s.lru)
-	t.clock = s.clock
-	t.hits = s.hits
-	t.misses = s.misses
-	t.evictions = s.evictions
+	t.entries, t.lru = s.entries, s.lru
+	t.clock, t.hits, t.misses, t.evictions = s.clock, s.hits, s.misses, s.evictions
 	clear(t.blocks[:])
 	for i := range t.entries {
 		if t.entries[i].Valid {
 			t.blocks[blockSlot(t.entries[i].VPN)]++
 		}
 	}
+	return nil
 }
 
 // Debt tracks pages flushed by TLB invalidations so that the later refill
@@ -354,20 +345,9 @@ func (d *Debt) Len() int { return len(d.pages) }
 // reset-heavy caller (one per machine stats reset) never reallocates.
 func (d *Debt) Reset() { clear(d.pages) }
 
-// Snapshot returns a copy of the owed-page set.
-func (d *Debt) Snapshot() map[uint64]struct{} {
-	pages := make(map[uint64]struct{}, len(d.pages))
-	for vpn := range d.pages {
-		pages[vpn] = struct{}{}
-	}
-	return pages
-}
+// Stored returns the owed-page set itself, valid until the set next
+// changes.
+func (d *Debt) Stored() map[uint64]struct{} { return d.pages }
 
-// Restore replaces the owed-page set with a copy of pages, reusing the
-// receiver's map storage.
-func (d *Debt) Restore(pages map[uint64]struct{}) {
-	clear(d.pages)
-	for vpn := range pages {
-		d.pages[vpn] = struct{}{}
-	}
-}
+// Adopt makes pages, which must be non-nil, the owed-page set.
+func (d *Debt) Adopt(pages map[uint64]struct{}) { d.pages = pages }

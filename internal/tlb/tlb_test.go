@@ -170,6 +170,9 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Entries: 7, Ways: 2},
 		{Entries: 24, Ways: 4}, // 6 sets: not a power of two
 	} {
+		if cfg.Check() == nil {
+			t.Errorf("Check accepted %+v", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -182,7 +185,7 @@ func TestBadGeometryPanics(t *testing.T) {
 }
 
 // TestBlockCountsAgainstScan is the referee for the block counts: random
-// Insert, Lookup, Invalidate, FlushRange, FlushAll and Restore calls on a
+// Insert, Lookup, Invalidate, FlushRange, FlushAll and Adopt calls on a
 // small and a full-size geometry. After every step the counts must equal
 // a recount of the valid entries, and every FlushRange must flush, report
 // and call back exactly what a plain scan of the entries finds.
@@ -259,10 +262,12 @@ func TestBlockCountsAgainstScan(t *testing.T) {
 						t.Fatalf("step %d: FlushAll = %d, want %d", step, n, valid)
 					}
 				case op < 97:
-					saved = append(saved, tl.Snapshot())
+					saved = append(saved, copyState(tl.Stored()))
 				default:
 					if len(saved) > 0 {
-						tl.Restore(saved[rng.Intn(len(saved))])
+						if err := tl.Adopt(copyState(saved[rng.Intn(len(saved))])); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				var recount [blockSlots]uint32
@@ -279,21 +284,28 @@ func TestBlockCountsAgainstScan(t *testing.T) {
 	}
 }
 
+// copyState returns s with arrays of its own, as a decoded snapshot has.
+func copyState(s State) State {
+	s.entries, s.lru = slices.Clone(s.entries), slices.Clone(s.lru)
+	return s
+}
+
 // TestRestoreRejectsShortRecencyState: on disk a snapshot's entries and
 // recency stamps carry separate counts, so a decoded snapshot can pair
-// full entries with short stamps. Restore must refuse it rather than
-// keep stale stamps behind the short copy.
+// full entries with short stamps. Adopt must refuse it rather than take
+// the short stamps over and index past their end later.
 func TestRestoreRejectsShortRecencyState(t *testing.T) {
 	tl := New(Config{Entries: 64, Ways: 4})
 	for vpn := uint64(0); vpn < 100; vpn++ {
 		tl.Insert(Entry{VPN: vpn, PFN: vpn + 1, Valid: true})
 	}
-	s := tl.Snapshot()
+	s := copyState(tl.Stored())
 	s.lru = s.lru[:len(s.lru)/2]
-	defer func() {
-		if recover() == nil {
-			t.Error("Restore accepted a short recency-stamp slice")
-		}
-	}()
-	New(Config{Entries: 64, Ways: 4}).Restore(s)
+	fresh := New(Config{Entries: 64, Ways: 4})
+	if err := fresh.Adopt(s); err == nil {
+		t.Error("Adopt accepted a short recency-stamp slice")
+	}
+	if err := New(Config{Entries: 32, Ways: 4}).Adopt(copyState(tl.Stored())); err == nil {
+		t.Error("Adopt accepted the state of a larger TLB")
+	}
 }

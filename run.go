@@ -3,8 +3,10 @@ package domainvirt
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
+	"domainvirt/internal/core"
 	"domainvirt/internal/obs"
 	"domainvirt/internal/sim"
 	"domainvirt/internal/trace"
@@ -52,6 +54,9 @@ func runCell(name string, p Params, scheme Scheme, cfg Config, rec *obs.Recorder
 // or record the measured segment's trace), else simulated on a fresh
 // machine.
 func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCache, traced bool) (readyCell, bool, error) {
+	if err := checkCell(scheme, p, cfg); err != nil {
+		return readyCell{}, false, err
+	}
 	w, err := workload.New(name)
 	if err != nil {
 		return readyCell{}, false, err
@@ -61,6 +66,68 @@ func prepare(name string, p Params, scheme Scheme, cfg Config, cache *SnapshotCa
 	}
 	c, err := setUp(w, name, p, scheme, cfg)
 	return c, false, err
+}
+
+// checkCell rejects a cell before anything is built for it: an unknown
+// scheme, a machine geometry the TLB, cache or PLRU constructors would
+// panic on, no core, or a resolved size or ops count that is negative or
+// passes a fixed bound. A cell arrives from a command line or, through
+// RunSweepCell, over the network, and building a machine or a workload
+// from a bad one panics or allocates without limit. Each bound admits
+// every caller in the repo with room: the paper's scale (1,024 PMOs, 1M
+// micro ops, 2 GiB WHISPER pools), Table II's machine and the ablations'
+// 4 cores and 64-entry domain buffers.
+func checkCell(scheme Scheme, p Params, cfg Config) error {
+	if !slices.Contains(sim.AllSchemes, scheme) {
+		return fmt.Errorf("domainvirt: cell names unknown scheme %q", scheme)
+	}
+	p = p.Defaults()
+	for _, b := range []struct {
+		what      string
+		v, lo, hi int64
+	}{
+		{"Cores", int64(cfg.Cores), 1, 64},
+		{"L1TLB.Entries", int64(cfg.L1TLB.Entries), 0, 1 << 14},
+		{"L2TLB.Entries", int64(cfg.L2TLB.Entries), 0, 1 << 14},
+		{"L1D.SizeBytes", int64(cfg.L1D.SizeBytes), 0, 1 << 20},
+		{"L2.SizeBytes", int64(cfg.L2.SizeBytes), 0, 64 << 20},
+		{"DTTLBEntries", int64(cfg.DTTLBEntries), 0, 1 << 12},
+		{"PTLBEntries", int64(cfg.PTLBEntries), 0, 1 << 12},
+		{"NumPMOs", int64(p.NumPMOs), 0, 4096},
+		{"Threads", int64(p.Threads), 0, 64},
+		{"InitialElems", int64(p.InitialElems), 0, 1 << 16},
+		// Per-pool placement fills one structure per pool.
+		{"NumPMOs×InitialElems", int64(p.NumPMOs) * int64(p.InitialElems), 0, 1 << 24},
+		{"Ops", int64(p.Ops), 0, 1 << 26},
+		{"PoolSize", int64(p.PoolSize), 0, 4 << 30},
+		{"ValueSize", int64(p.ValueSize), 0, 1 << 16},
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("domainvirt: cell %s %d outside [%d, %d]", b.what, b.v, b.lo, b.hi)
+		}
+	}
+	type rule struct {
+		what string
+		err  error
+	}
+	geometry := []rule{
+		{"L1TLB", cfg.L1TLB.Check()},
+		{"L2TLB", cfg.L2TLB.Check()},
+		{"L1D", cfg.L1D.Check()},
+		{"L2", cfg.L2.Check()},
+	}
+	switch scheme {
+	case SchemeMPKVirt:
+		geometry = append(geometry, rule{"DTTLBEntries", core.CheckPLRUSlots(cfg.DTTLBEntries)})
+	case SchemeDomainVirt:
+		geometry = append(geometry, rule{"PTLBEntries", core.CheckPLRUSlots(cfg.PTLBEntries)})
+	}
+	for _, g := range geometry {
+		if g.err != nil {
+			return fmt.Errorf("domainvirt: cell %s: %w", g.what, g.err)
+		}
+	}
+	return nil
 }
 
 // setUp simulates w's setup on a fresh machine, then resets its

@@ -77,8 +77,8 @@ go test -fuzz FuzzPoolFile -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./intern
 # windowed decode must agree with a whole-slice decode.
 go test -fuzz '^FuzzReplay$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/trace/
 go test -fuzz '^FuzzWindowedDecode$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/trace/
-# And of the page table against a map: its operations, its clones and its
-# codec, with entries in an order AppendTo never writes.
+# And of the page table against a map: its operations, its decoded
+# copies and its codec, with entries in an order AppendTo never writes.
 go test -fuzz '^FuzzTableOps$' -fuzztime 5s -fuzzminimizetime 50x -run '^$' ./internal/pagetable/
 # And of the conformance corpus reader, the reader of every repro file a
 # campaign writes: an accepted program must survive a re-serialise.

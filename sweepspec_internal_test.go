@@ -6,9 +6,12 @@ import (
 	"testing"
 )
 
-// TestSweepSpecBounds: a spec naming an unknown scheme or a size past
-// its bound is refused with an error naming the field. Only the check
-// runs on such specs: no test builds their machines.
+// TestSweepSpecBounds: a cell naming an unknown scheme, a machine
+// geometry the simulator's constructors refuse, no core, or a size
+// outside its bound is refused with an error naming the field, by Run
+// and RunHorizons before they build anything, and by RunSweepCell before
+// it builds or pulls a checkpoint. The sizes past a bound are large, so
+// a missing check fails the test with an allocation no test can make.
 func TestSweepSpecBounds(t *testing.T) {
 	valid := sweepCellSpec{
 		Name:   "avl",
@@ -16,7 +19,7 @@ func TestSweepSpecBounds(t *testing.T) {
 		Scheme: SchemeDomainVirt,
 		Cfg:    DefaultConfig(),
 	}
-	if err := valid.check(); err != nil {
+	if err := checkCell(valid.Scheme, valid.Params, valid.Cfg); err != nil {
 		t.Fatalf("a small spec was refused: %v", err)
 	}
 	for _, c := range []struct {
@@ -25,6 +28,7 @@ func TestSweepSpecBounds(t *testing.T) {
 	}{
 		{"scheme", func(s *sweepCellSpec) { s.Scheme = "erim" }},
 		{"Cores", func(s *sweepCellSpec) { s.Cfg.Cores = 1 << 30 }},
+		{"Cores", func(s *sweepCellSpec) { s.Cfg.Cores = 0 }},
 		{"Cores", func(s *sweepCellSpec) { s.Cfg.Cores = -1 }},
 		{"L1TLB.Entries", func(s *sweepCellSpec) { s.Cfg.L1TLB.Entries = 1 << 40 }},
 		{"L2TLB.Entries", func(s *sweepCellSpec) { s.Cfg.L2TLB.Entries = 1<<14 + 1 }},
@@ -32,20 +36,32 @@ func TestSweepSpecBounds(t *testing.T) {
 		{"L2.SizeBytes", func(s *sweepCellSpec) { s.Cfg.L2.SizeBytes = 1 << 40 }},
 		{"DTTLBEntries", func(s *sweepCellSpec) { s.Cfg.DTTLBEntries = 1 << 40 }},
 		{"PTLBEntries", func(s *sweepCellSpec) { s.Cfg.PTLBEntries = 1 << 40 }},
+		{"L1TLB", func(s *sweepCellSpec) { s.Cfg.L1TLB.Ways = 3 }},
+		{"L2TLB", func(s *sweepCellSpec) { s.Cfg.L2TLB.Entries = 0 }},
+		{"L1D", func(s *sweepCellSpec) { s.Cfg.L1D.Ways = 0 }},
+		{"L2", func(s *sweepCellSpec) { s.Cfg.L2.SizeBytes = 3 << 20 }},
+		{"DTTLBEntries", func(s *sweepCellSpec) { s.Scheme, s.Cfg.DTTLBEntries = SchemeMPKVirt, 12 }},
+		{"PTLBEntries", func(s *sweepCellSpec) { s.Cfg.PTLBEntries = 0 }},
 		{"NumPMOs", func(s *sweepCellSpec) { s.Params.NumPMOs = 1 << 40 }},
+		{"NumPMOs", func(s *sweepCellSpec) { s.Params.NumPMOs = -5 }},
 		{"Threads", func(s *sweepCellSpec) { s.Params.Threads = 1 << 40 }},
+		{"Threads", func(s *sweepCellSpec) { s.Params.Threads = -1 }},
 		{"InitialElems", func(s *sweepCellSpec) { s.Params.InitialElems = 1 << 40 }},
+		{"InitialElems", func(s *sweepCellSpec) { s.Params.InitialElems = -1 }},
 		{"NumPMOs×InitialElems", func(s *sweepCellSpec) { s.Params.NumPMOs, s.Params.InitialElems = 4096, 1<<13 }},
 		{"Ops", func(s *sweepCellSpec) { s.Params.Ops = 1 << 40 }},
+		{"Ops", func(s *sweepCellSpec) { s.Params.Ops = -1 }},
 		{"PoolSize", func(s *sweepCellSpec) { s.Params.PoolSize = 1 << 40 }},
 		{"PoolSize", func(s *sweepCellSpec) { s.Params.PoolSize = 1 << 63 }},
 		{"ValueSize", func(s *sweepCellSpec) { s.Params.ValueSize = 1 << 40 }},
 	} {
 		s := valid
 		c.edit(&s)
-		err := s.check()
-		if err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("%s: check = %v, want an error naming it", c.field, err)
+		if _, err := Run(s.Name, s.Params, s.Scheme, s.Cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Run = %v, want an error naming it", c.field, err)
+		}
+		if _, err := RunHorizons(s.Name, s.Params, s.Scheme, s.Cfg, []int{10}, nil); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: RunHorizons = %v, want an error naming it", c.field, err)
 		}
 	}
 
@@ -79,8 +95,7 @@ func TestSweepSpecBoundsAdmitCallers(t *testing.T) {
 		{Name: "avl", Params: ablation, Scheme: SchemeMPKVirt, Cfg: cores},
 		{Name: "avl", Params: opt.microParams(1024), Scheme: SchemeDomainVirt, Cfg: buffers},
 	} {
-		s.Params = s.Params.Defaults()
-		if err := s.check(); err != nil {
+		if err := checkCell(s.Scheme, s.Params, s.Cfg); err != nil {
 			t.Errorf("%s at %+v refused: %v", s.Name, s.Params, err)
 		}
 	}

@@ -239,6 +239,31 @@ func TestPmosimEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBadCellInputExitsWithError: a cell input the simulator cannot
+// build exits 1 with an error naming it, not 2 with a panic.
+func TestBadCellInputExitsWithError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, c := range []struct {
+		tool string
+		args []string
+		want string
+	}{
+		{"pmosim", []string{"-cores", "0"}, "Cores 0"},
+		{"pmod", []string{"-engine", "bogus", "-listen", "127.0.0.1:0"}, `unknown -engine "bogus"`},
+	} {
+		var buf bytes.Buffer
+		cmd := exec.Command(buildTool(t, c.tool), c.args...)
+		cmd.Stdout, cmd.Stderr = &buf, &buf
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(buf.String(), c.want) {
+			t.Errorf("%s %v: %v, output %q; want exit 1 naming %q", c.tool, c.args, err, buf.String(), c.want)
+		}
+	}
+}
+
 func TestPmosimObsAndProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
